@@ -1,5 +1,6 @@
 """Scenario runner: clock, channel, transcripts, determinism, replay."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -208,6 +209,18 @@ class TestScenarios:
         assert sends[0].time == 10
         first_deliver = next(e for e in transcript.events if e.kind == "deliver")
         assert first_deliver.time == 11
+
+    def test_event_bytes_pinned_across_scenarios_seeds_and_windows(self):
+        # Pins every scenario's behaviour byte for byte. Only the event
+        # lines are hashed: the header holds the absolute dictionary path.
+        pin = hashlib.sha256()
+        for scenario in sorted(SCENARIOS):
+            for seed in range(8):
+                for window in (1, 2, 5, 9):
+                    text = run_scenario(config_for(scenario, seed=seed, window=window)).to_jsonl()
+                    pin.update(text.split("\n", 1)[1].encode())
+        assert pin.hexdigest() == (
+            "c09ecbff16be0e1f802f0caf352adc9675ba30812d03799ce92d3d9d7c21a050")
 
     def test_invalid_configs_rejected(self):
         with pytest.raises(InvalidConfig):
