@@ -18,7 +18,6 @@ from typing import Iterable, Iterator, Optional
 from .blocks import Block, digest, encode_timestamp, validate_password, xor
 from .scheme import (
     LoginRequest,
-    PasswordChangeRejected,
     ServerResponse,
     SmartCard,
     password_digest,
@@ -85,9 +84,6 @@ class Wordlist:
     def __len__(self) -> int:
         return len(self.words)
 
-    def __contains__(self, word: object) -> bool:
-        return word in self.words
-
 
 def offline_guess(secrets: CardSecrets, request: LoginRequest,
                   wordlist: Wordlist) -> Optional[tuple[str, Block]]:
@@ -125,16 +121,13 @@ def insider_change_password(card: SmartCard, record: RegistrationRecord,
     The insider bypasses the reader's hash entry and injects recorded
     registration material in place of the keyed-password digest; whether
     the verifier or the password digest is keyed in, the unmasking lands
-    on the same value. The card's own comparison still runs, so the
+    on the same value. The card's own change phase runs on it, so the
     injection goes stale and is rejected once the user has changed the
     password since registration.
     """
     if mode not in INSIDER_MODES:
         raise ValueError(f"unknown insider entry mode: {mode!r}")
-    candidate = xor(card.masked_verifier, record.password_digest)
-    if candidate != card.verifier:
-        raise PasswordChangeRejected("registration record is stale for this card")
-    card.masked_verifier = xor(candidate, password_digest(new_password, card.salt))
+    card.remask(record.password_digest, new_password)
 
 
 def forge_parallel_login(request: LoginRequest, response: ServerResponse) -> LoginRequest:

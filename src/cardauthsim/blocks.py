@@ -14,6 +14,9 @@ BLOCK_LEN = 32
 # Length caps for the canonical text types.
 MAX_TEXT_LEN = 64
 
+# Clock readings fold into the block domain as 8-byte big-endian integers.
+TIMESTAMP_LIMIT = 2**64
+
 _IDENTITY_TAG = b"I"
 _PASSWORD_TAG = b"P"
 _TIMESTAMP_TAG = b"T"
@@ -92,7 +95,7 @@ def encode_password(password: str) -> Block:
 
 def encode_timestamp(ticks: int) -> Block:
     """Fold a logical clock reading into the block domain."""
-    if ticks < 0 or ticks >= 2**64:
+    if not 0 <= ticks < TIMESTAMP_LIMIT:
         raise ValueError("timestamp out of range")
     return _hash(_TIMESTAMP_TAG + ticks.to_bytes(8, "big"))
 

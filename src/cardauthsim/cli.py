@@ -2,8 +2,8 @@
 
 Exit codes: 0 when the honest scenario accepts or an attack scenario
 succeeds (this tool exists to demonstrate the attacks, so success is the
-expected outcome), 1 on a contrary outcome or I/O failure, 2 on usage
-errors.
+expected outcome), 1 on a contrary outcome, I/O failure or malformed
+dictionary, 2 on usage errors.
 """
 
 import argparse

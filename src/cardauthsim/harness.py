@@ -39,7 +39,6 @@ from .scheme import (
     ProtocolRejection,
     ServerResponse,
     SmartCard,
-    UserSession,
     enroll,
     message_to_wire,
     password_digest,
@@ -81,6 +80,14 @@ class ReplayMismatch(Exception):
 
 def _dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def _jsonl_lines(text: str) -> list[str]:
+    """Split JSON Lines text; a final newline ends the last line."""
+    lines = text.split("\n")
+    if lines and lines[-1] == "":
+        lines.pop()
+    return lines
 
 
 class Clock:
@@ -171,9 +178,7 @@ class Transcript:
 
     @classmethod
     def from_jsonl(cls, text: str) -> "Transcript":
-        lines = text.split("\n")
-        if lines and lines[-1] == "":
-            lines.pop()
+        lines = _jsonl_lines(text)
         if not lines:
             raise TranscriptParseError("empty transcript")
         try:
@@ -212,28 +217,23 @@ class Channel:
         self._log(sender, "send", msg_id, message)
         return msg_id
 
-    def intercept(self):
-        """Intruder copies the oldest in-flight message without removing it."""
+    def _take_oldest(self, actor: str, kind: str, remove: bool):
         if not self._in_flight:
-            raise LookupError("nothing in flight to intercept")
-        msg_id, message = self._in_flight[0]
-        self._log("intruder", "intercept", msg_id, message)
+            raise LookupError(f"nothing in flight to {kind}")
+        msg_id, message = self._in_flight.popleft() if remove else self._in_flight[0]
+        self._log(actor, kind, msg_id, message)
         return message
 
+    def intercept(self):
+        """Intruder copies the oldest in-flight message without removing it."""
+        return self._take_oldest("intruder", "intercept", remove=False)
+
     def deliver(self, receiver: str):
-        if not self._in_flight:
-            raise LookupError("nothing in flight to deliver")
-        msg_id, message = self._in_flight.popleft()
-        self._log(receiver, "deliver", msg_id, message)
-        return message
+        return self._take_oldest(receiver, "deliver", remove=True)
 
     def drop(self):
         """Intruder removes the oldest in-flight message for good."""
-        if not self._in_flight:
-            raise LookupError("nothing in flight to drop")
-        msg_id, message = self._in_flight.popleft()
-        self._log("intruder", "drop", msg_id, message)
-        return message
+        return self._take_oldest("intruder", "drop", remove=True)
 
     @property
     def in_flight(self) -> int:
@@ -267,6 +267,8 @@ class _Run:
                 self.wordlist = Wordlist.load(config.dictionary_path)
             except OSError as exc:
                 raise MissingDictionary(f"cannot read dictionary: {exc}") from None
+            except ValueError as exc:
+                raise ScenarioError(f"malformed dictionary: {exc}") from None
             self.victim_password = self.wordlist.words[self.rng.randrange(len(self.wordlist))]
         else:
             self.victim_password = _random_password(self.rng)
@@ -277,19 +279,29 @@ class _Run:
         self.transcript.record(self.clock.now, actor, "state-change",
                                {"action": action, **detail})
 
-    def verdict(self, actor: str, check: str, exc: Optional[ProtocolRejection],
-                **detail) -> bool:
-        payload = {"check": check, "outcome": "accept" if exc is None else "reject", **detail}
-        if exc is not None:
-            payload["reason"] = exc.reason
+    def run_check(self, actor: str, check: str, step: Callable, **detail):
+        """Run one protocol check and record its verdict.
+
+        Returns (accepted, what `step` returned); a `ProtocolRejection`
+        from `step` is recorded as a reject with its reason.
+        """
+        payload = {"check": check, "outcome": "accept", **detail}
+        result = None
+        try:
+            result = step()
+        except ProtocolRejection as exc:
+            payload.update(outcome="reject", reason=exc.reason)
         self.transcript.record(self.clock.now, actor, "verdict", payload)
-        return exc is None
+        return payload["outcome"] == "accept", result
 
     def scenario_verdict(self, outcome: str) -> Transcript:
         self.transcript.record(self.clock.now, "harness", "verdict",
                                {"check": "scenario", "outcome": outcome,
                                 "scenario": self.config.scenario})
         return self.transcript
+
+    def attack_verdict(self, succeeded: bool) -> Transcript:
+        return self.scenario_verdict("attack-succeeded" if succeeded else "attack-failed")
 
     # -- protocol fragments ---------------------------------------------
 
@@ -301,21 +313,9 @@ class _Run:
         return card
 
     def server_verify(self, request: LoginRequest) -> Optional[ServerResponse]:
-        try:
-            response = self.server.verify_login(request, self.clock.now, self.config.window)
-        except ProtocolRejection as exc:
-            self.verdict("server", "login", exc)
-            return None
-        self.verdict("server", "login", None)
+        _, response = self.run_check("server", "login", lambda: self.server.verify_login(
+            request, self.clock.now, self.config.window))
         return response
-
-    def user_verify(self, session: UserSession, response: ServerResponse,
-                    actor: str = "user") -> bool:
-        try:
-            verify_mutual_auth(session, response, self.config.window)
-        except ProtocolRejection as exc:
-            return self.verdict(actor, "mutual-auth", exc)
-        return self.verdict(actor, "mutual-auth", None)
 
     def login_roundtrip(self, card: SmartCard, password: str, *, sender: str = "card",
                         receiver: str = "user", tap_request: bool = False,
@@ -340,27 +340,42 @@ class _Run:
             self.channel.intercept()
         self.clock.step()
         arrived = self.channel.deliver(receiver)
-        accepted = self.user_verify(session, arrived, actor=receiver)
+        accepted, _ = self.run_check(receiver, "mutual-auth", lambda: verify_mutual_auth(
+            session, arrived, self.config.window))
         return request, response, accepted
 
-    def breach_and_guess(self, card: SmartCard, request: LoginRequest):
-        """Card-secret extraction followed by the offline dictionary scan."""
+    def steal_password(self) -> tuple[SmartCard, Optional[str]]:
+        """Register the victim, tap their login, extract the card secrets
+        and scan the wordlist offline. Returns the card and the recovered
+        password, or None when no candidate matched."""
+        card = self.register_victim()
+        self.clock.step(10)
+        request, _, _ = self.login_roundtrip(card, self.victim_password, tap_request=True)
         secrets = CardSecrets.from_card(card)
         self.note("intruder", "breach-card-secrets",
                   verifier=secrets.verifier.hex(),
                   masked_verifier=secrets.masked_verifier.hex(),
                   salt=secrets.salt.hex())
         found = offline_guess(secrets, request, self.wordlist)
-        if found is None:
-            self.note("intruder", "offline-guess", result="not-found",
-                      password=None, probes=len(self.wordlist),
-                      wordlist_size=len(self.wordlist))
-        else:
-            self.note("intruder", "offline-guess", result="found",
-                      password=found[0],
-                      probes=self.wordlist.words.index(found[0]) + 1,
-                      wordlist_size=len(self.wordlist))
-        return found
+        password = None if found is None else found[0]
+        words = self.wordlist.words
+        self.note("intruder", "offline-guess",
+                  result="not-found" if password is None else "found", password=password,
+                  probes=len(words) if password is None else words.index(password) + 1,
+                  wordlist_size=len(words))
+        return card, password
+
+    def hijack(self, card: SmartCard, change: Callable[[], None], **detail) -> Transcript:
+        """The intruder's password change on the victim's card, then a
+        login with the victim's password and one with the attacker's.
+        The attack succeeds when only the attacker gets in."""
+        changed, _ = self.run_check("card", "password-change", change, by="intruder", **detail)
+        self.clock.step()
+        *_, victim_ok = self.login_roundtrip(card, self.victim_password)
+        self.clock.step()
+        *_, attacker_ok = self.login_roundtrip(card, ATTACKER_PASSWORD,
+                                               sender="intruder", receiver="intruder")
+        return self.attack_verdict(changed and not victim_ok and attacker_ok)
 
 
 # -- the five scenarios ------------------------------------------------
@@ -374,34 +389,16 @@ def _scenario_honest(run: _Run) -> Transcript:
 
 
 def _scenario_offline_guess(run: _Run) -> Transcript:
-    card = run.register_victim()
-    run.clock.step(10)
-    request, _, _ = run.login_roundtrip(card, run.victim_password, tap_request=True)
-    found = run.breach_and_guess(card, request)
-    recovered = found is not None and found[0] == run.victim_password
-    return run.scenario_verdict("attack-succeeded" if recovered else "attack-failed")
+    _, password = run.steal_password()
+    return run.attack_verdict(password == run.victim_password)
 
 
 def _scenario_outsider_change(run: _Run) -> Transcript:
-    card = run.register_victim()
-    run.clock.step(10)
-    request, _, _ = run.login_roundtrip(card, run.victim_password, tap_request=True)
-    found = run.breach_and_guess(card, request)
-    if found is None:
-        return run.scenario_verdict("attack-failed")
+    card, password = run.steal_password()
+    if password is None:
+        return run.attack_verdict(False)
     run.clock.step()
-    try:
-        outsider_change_password(card, found[0], ATTACKER_PASSWORD)
-        changed = run.verdict("card", "password-change", None, by="intruder")
-    except ProtocolRejection as exc:
-        changed = run.verdict("card", "password-change", exc, by="intruder")
-    run.clock.step()
-    *_, victim_ok = run.login_roundtrip(card, run.victim_password)
-    run.clock.step()
-    *_, attacker_ok = run.login_roundtrip(card, ATTACKER_PASSWORD,
-                                          sender="intruder", receiver="intruder")
-    succeeded = changed and not victim_ok and attacker_ok
-    return run.scenario_verdict("attack-succeeded" if succeeded else "attack-failed")
+    return run.hijack(card, lambda: outsider_change_password(card, password, ATTACKER_PASSWORD))
 
 
 def _scenario_insider_change(run: _Run) -> Transcript:
@@ -413,21 +410,9 @@ def _scenario_insider_change(run: _Run) -> Transcript:
              verifier=record.verifier.hex(),
              masked_verifier=record.masked_verifier.hex())
     run.clock.step(10)
-    try:
-        insider_change_password(card, record, ATTACKER_PASSWORD,
-                                mode=INSIDER_SUPPLY_VERIFIER)
-        changed = run.verdict("card", "password-change", None,
-                              by="intruder", mode=INSIDER_SUPPLY_VERIFIER)
-    except ProtocolRejection as exc:
-        changed = run.verdict("card", "password-change", exc,
-                              by="intruder", mode=INSIDER_SUPPLY_VERIFIER)
-    run.clock.step()
-    *_, victim_ok = run.login_roundtrip(card, run.victim_password)
-    run.clock.step()
-    *_, attacker_ok = run.login_roundtrip(card, ATTACKER_PASSWORD,
-                                          sender="intruder", receiver="intruder")
-    succeeded = changed and not victim_ok and attacker_ok
-    return run.scenario_verdict("attack-succeeded" if succeeded else "attack-failed")
+    mode = INSIDER_SUPPLY_VERIFIER
+    return run.hijack(card, lambda: insider_change_password(card, record, ATTACKER_PASSWORD,
+                                                            mode=mode), mode=mode)
 
 
 def _scenario_parallel_session(run: _Run) -> Transcript:
@@ -443,7 +428,7 @@ def _scenario_parallel_session(run: _Run) -> Transcript:
     if second is not None:
         run.channel.send("server", second)
         intercept_and_drop(run.channel)
-    return run.scenario_verdict("attack-succeeded" if second is not None else "attack-failed")
+    return run.attack_verdict(second is not None)
 
 
 SCENARIOS: dict[str, Callable[[_Run], Transcript]] = {
@@ -462,9 +447,10 @@ def run_scenario(config: ScenarioConfig) -> Transcript:
     if config.scenario not in SCENARIOS:
         raise InvalidConfig(f"unknown scenario {config.scenario!r}, "
                             f"expected one of {sorted(SCENARIOS)}")
-    if not isinstance(config.seed, int) or isinstance(config.seed, bool):
+    # type() rather than isinstance(): a bool is an int subclass
+    if type(config.seed) is not int:
         raise InvalidConfig("seed must be an integer")
-    if not isinstance(config.window, int) or config.window < 1:
+    if type(config.window) is not int or config.window < 1:
         raise InvalidConfig("window must be a positive tick count")
     if config.scenario in WORDLIST_SCENARIOS and config.dictionary_path is None:
         raise MissingDictionary(f"scenario {config.scenario!r} needs a dictionary")
@@ -481,10 +467,8 @@ def replay_transcript(path: str | Path) -> int:
     recorded = Transcript.from_jsonl(text)
     fresh = run_scenario(recorded.config)
 
-    recorded_lines = text.split("\n")[1:]
-    if recorded_lines and recorded_lines[-1] == "":
-        recorded_lines.pop()
-    fresh_lines = fresh.to_jsonl().split("\n")[1:-1]
+    recorded_lines = _jsonl_lines(text)[1:]
+    fresh_lines = _jsonl_lines(fresh.to_jsonl())[1:]
     for seq, (old, new) in enumerate(zip(recorded_lines, fresh_lines)):
         if old != new:
             raise ReplayMismatch(seq)

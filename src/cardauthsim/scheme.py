@@ -18,6 +18,7 @@ the attacks in `adversary` exploit.
 from dataclasses import dataclass
 
 from .blocks import (
+    TIMESTAMP_LIMIT,
     Block,
     digest,
     encode_password,
@@ -81,6 +82,12 @@ class UserSession:
     sent_at: int
 
 
+def _fresh(stamp: int, earliest: int, latest: int) -> bool:
+    """Whether a message clock lies in [earliest, latest] and is a
+    reading `encode_timestamp` can fold."""
+    return earliest <= stamp <= latest and 0 <= stamp < TIMESTAMP_LIMIT
+
+
 def password_digest(password: str, salt: Block) -> Block:
     """Hash of the salted password; the only password-derived value ever sent."""
     return digest(xor(salt, encode_password(password)))
@@ -114,7 +121,13 @@ class SmartCard:
         stored verifier.
         """
         validate_password(new_password)
-        candidate = xor(self.masked_verifier, password_digest(old_password, self.salt))
+        self.remask(password_digest(old_password, self.salt), new_password)
+
+    def remask(self, old_digest: Block, new_password: str) -> None:
+        """The change phase after the reader has hashed the old password:
+        re-mask the verifier under the new password if `old_digest`
+        unmasks it. The card cannot tell who produced the digest."""
+        candidate = xor(self.masked_verifier, old_digest)
         if candidate != self.verifier:
             raise PasswordChangeRejected("old password does not unmask the verifier")
         self.masked_verifier = xor(candidate, password_digest(new_password, self.salt))
@@ -153,8 +166,9 @@ class AuthServer:
 
         Raises UnknownIdentity for unregistered or malformed identities,
         StaleTimestamp when the request clock falls outside
-        [received_at - window, received_at], BadAuthenticator when the
-        proof does not match. On success returns the mutual-auth reply.
+        [received_at - window, received_at] or outside the clock's range,
+        BadAuthenticator when the proof does not match. On success returns
+        the mutual-auth reply.
         """
         try:
             validate_identity(request.identity)
@@ -162,7 +176,7 @@ class AuthServer:
             raise UnknownIdentity(str(exc)) from None
         if request.identity not in self.accounts:
             raise UnknownIdentity(f"no account for {request.identity!r}")
-        if not 0 <= received_at - request.timestamp <= window:
+        if not _fresh(request.timestamp, received_at - window, received_at):
             raise StaleTimestamp(
                 f"login stamped {request.timestamp} received at {received_at}, window {window}")
         verifier = self._verifier_for(request.identity)
@@ -179,7 +193,7 @@ def verify_mutual_auth(session: UserSession, response: ServerResponse,
     Raises StaleTimestamp or BadAuthenticator; returns silently when the
     responder proved knowledge of the session secret.
     """
-    if not 0 <= response.timestamp - session.sent_at <= window:
+    if not _fresh(response.timestamp, session.sent_at, session.sent_at + window):
         raise StaleTimestamp(
             f"reply stamped {response.timestamp} for a login sent at {session.sent_at}")
     if response.authenticator != digest(xor(session.secret, encode_timestamp(response.timestamp))):

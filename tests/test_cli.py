@@ -44,11 +44,28 @@ class TestDemo:
         assert code == 0
         assert err.strip().split("\n")[-1] == "attack-succeeded"
 
-    def test_unreadable_dictionary_is_io_error(self, capsys):
-        code = main(["demo", "offline-guess", "--dictionary", "/no/such/file"])
-        _, err = capsys.readouterr()
-        assert code == 1
-        assert "error" in err
+    def test_unreadable_dictionary_is_io_error(self, tmp_path, capsys):
+        malformed = {"duplicate": b"a\nb\na\n", "blank-line": b"a\n\nb\n",
+                     "not-utf8": b"a\n\xff\xfe\n"}
+        paths = ["/no/such/file"]
+        for name, data in malformed.items():
+            path = tmp_path / f"{name}.txt"
+            path.write_bytes(data)
+            paths.append(str(path))
+        for path in paths:
+            code = main(["demo", "offline-guess", "--dictionary", path])
+            _, err = capsys.readouterr()
+            assert code == 1, path
+            assert err.startswith("error: "), path
+            # replay re-runs the recorded config, so it meets the same file
+            transcript = tmp_path / "t.jsonl"
+            transcript.write_text(json.dumps({"scenario": "offline-guess", "seed": 0,
+                                              "window": 5, "dictionary": path}) + "\n",
+                                  encoding="utf-8")
+            code = main(["replay", str(transcript)])
+            _, err = capsys.readouterr()
+            assert code == 1, path
+            assert err.startswith("error: "), path
 
     def test_out_writes_replayable_file(self, tmp_path, capsys):
         out_file = tmp_path / "t.jsonl"

@@ -229,6 +229,8 @@ class TestScenarios:
             run_scenario(ScenarioConfig(scenario="honest", window=0))
         with pytest.raises(InvalidConfig):
             run_scenario(ScenarioConfig(scenario="honest", seed="abc"))
+        with pytest.raises(InvalidConfig):
+            run_scenario(ScenarioConfig(scenario="honest", window=True))
 
     def test_wordlist_scenarios_need_a_dictionary(self):
         for scenario in WORDLIST_SCENARIOS:

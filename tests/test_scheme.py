@@ -18,10 +18,12 @@ from cardauthsim.scheme import (
     BadAuthenticator,
     LoginRequest,
     PasswordChangeRejected,
+    ProtocolRejection,
     ServerResponse,
     SmartCard,
     StaleTimestamp,
     UnknownIdentity,
+    UserSession,
     enroll,
     message_from_wire,
     message_to_wire,
@@ -202,6 +204,26 @@ class TestVerifyLogin:
         with pytest.raises(StaleTimestamp):
             server.verify_login(request, 9)
 
+    def test_timestamp_outside_clock_range_is_stale(self):
+        server, _ = _fresh_setup()
+        for stamp, received_at, window in ((-1, 3, 10), (2**64, 2**64 + 1, 5)):
+            with pytest.raises(StaleTimestamp):
+                server.verify_login(LoginRequest(IDENT, Block(bytes(32)), stamp),
+                                    received_at, window=window)
+
+    @settings(max_examples=300, deadline=None)
+    @given(identity=st.sampled_from([IDENT, "mallory"]), authenticator=blocks,
+           timestamp=st.one_of(st.integers(), st.integers(-3, 3), st.integers(2**64 - 3, 2**64 + 3)),
+           received_at=st.integers(0, 2**64 - 1), window=st.integers(1, 2**65))
+    def test_any_request_is_answered_or_rejected(self, identity, authenticator, timestamp,
+                                                 received_at, window):
+        server, _ = _fresh_setup()
+        try:
+            server.verify_login(LoginRequest(identity, authenticator, timestamp),
+                                received_at, window=window)
+        except ProtocolRejection:
+            pass
+
     def test_unknown_identity_rejected(self):
         server, card = _fresh_setup()
         request, _ = card.login("mallory", PASSWORD, 10)
@@ -247,6 +269,11 @@ class TestMutualAuth:
         backdated = ServerResponse(response.authenticator, 9)
         with pytest.raises(StaleTimestamp):
             verify_mutual_auth(session, backdated)
+
+    def test_response_outside_clock_range_is_stale(self):
+        session = UserSession(Block(bytes(32)), 2**64 - 1)
+        with pytest.raises(StaleTimestamp):
+            verify_mutual_auth(session, ServerResponse(Block(bytes(32)), 2**64))
 
     def test_response_outside_window_is_stale(self):
         server, card = _fresh_setup()
