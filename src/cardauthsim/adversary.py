@@ -24,6 +24,8 @@ from .scheme import (
 )
 
 INSIDER_SUPPLY_VERIFIER = "supply-verifier"
+# An alias of INSIDER_SUPPLY_VERIFIER: whichever recorded value is keyed
+# in, the unmasking lands on the same value, so both modes are one change.
 INSIDER_SUPPLY_DIGEST = "supply-password-digest"
 INSIDER_MODES = (INSIDER_SUPPLY_VERIFIER, INSIDER_SUPPLY_DIGEST)
 
@@ -69,8 +71,11 @@ class Wordlist:
 
     @classmethod
     def load(cls, path: str | Path) -> "Wordlist":
-        """Read a UTF-8 wordlist file, one password per line, no blanks."""
-        text = Path(path).read_text(encoding="utf-8")
+        """Read a UTF-8 wordlist file, one password per line, with no
+        blank lines and no carriage returns."""
+        text = Path(path).read_bytes().decode("utf-8")
+        if "\r" in text:
+            raise ValueError(f"carriage return in wordlist {path}")
         lines = text.split("\n")
         if lines and lines[-1] == "":
             lines.pop()
@@ -140,9 +145,3 @@ def forge_parallel_login(request: LoginRequest, response: ServerResponse) -> Log
     messages.
     """
     return LoginRequest(request.identity, response.authenticator, response.timestamp)
-
-
-def intercept_and_drop(channel):
-    """Remove the oldest in-flight message so it never reaches its
-    destination; the channel logs the drop. Returns the stolen message."""
-    return channel.drop()

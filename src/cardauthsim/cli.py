@@ -2,8 +2,8 @@
 
 Exit codes: 0 when the honest scenario accepts or an attack scenario
 succeeds (this tool exists to demonstrate the attacks, so success is the
-expected outcome), 1 on a contrary outcome, I/O failure or malformed
-dictionary, 2 on usage errors.
+expected outcome), 1 on a contrary outcome, I/O failure, malformed
+dictionary or malformed transcript, 2 on usage errors.
 """
 
 import argparse
@@ -19,6 +19,7 @@ from .harness import (
     ScenarioError,
     Transcript,
     TranscriptParseError,
+    _dumps,
     replay_transcript,
     run_scenario,
 )
@@ -57,16 +58,17 @@ def build_parser() -> argparse.ArgumentParser:
 def _render_human(transcript: Transcript) -> str:
     lines = []
     for event in transcript.events:
-        detail = ", ".join(f"{k}={v}" for k, v in sorted(event.payload.items()))
+        detail = ", ".join(f"{k}={_dumps(v) if isinstance(v, dict) else v}"
+                           for k, v in sorted(event.payload.items()))
         lines.append(f"{event.seq:3d}  t={event.time:<3d} {event.actor:<8s} "
                      f"{event.kind:<12s} {detail}")
     return "\n".join(lines) + "\n"
 
 
 def _cmd_demo(args) -> int:
-    config = ScenarioConfig(scenario=args.scenario, seed=args.seed,
-                            window=args.window, dictionary_path=args.dictionary)
     try:
+        config = ScenarioConfig(scenario=args.scenario, seed=args.seed,
+                                window=args.window, dictionary_path=args.dictionary)
         transcript = run_scenario(config)
     except (ScenarioError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -27,7 +27,6 @@ from .adversary import (
     Wordlist,
     forge_parallel_login,
     insider_change_password,
-    intercept_and_drop,
     offline_guess,
     outsider_change_password,
 )
@@ -52,6 +51,7 @@ ACTORS = ("user", "card", "server", "intruder", "harness")
 EVENT_KINDS = ("send", "intercept", "drop", "deliver", "verdict", "state-change")
 
 _PASSWORD_ALPHABET = string.ascii_lowercase + string.digits
+_PASSWORD_LEN = 10
 
 
 class ScenarioError(Exception):
@@ -91,12 +91,10 @@ def _jsonl_lines(text: str) -> list[str]:
 
 
 class Clock:
-    """Logical simulation clock; advances only by explicit positive steps."""
+    """Logical simulation clock from tick 0; advances only by explicit positive steps."""
 
-    def __init__(self, start: int = 0):
-        if start < 0:
-            raise ValueError("clock cannot start before tick 0")
-        self.now = start
+    def __init__(self):
+        self.now = 0
 
     def step(self, ticks: int = 1) -> int:
         if ticks < 1:
@@ -108,21 +106,37 @@ class Clock:
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Everything a scenario run depends on; equal configs give
-    byte-identical transcripts."""
+    byte-identical transcripts. Construction raises InvalidConfig, or
+    MissingDictionary for a guessing scenario without a dictionary."""
 
     scenario: str
     seed: int = 0
     window: int = DEFAULT_WINDOW
     dictionary_path: Optional[str] = None
 
+    def __post_init__(self):
+        if not isinstance(self.scenario, str) or self.scenario not in SCENARIOS:
+            raise InvalidConfig(f"unknown scenario {self.scenario!r}, "
+                                f"expected one of {sorted(SCENARIOS)}")
+        # type() rather than isinstance(): a bool is an int subclass
+        if type(self.seed) is not int:
+            raise InvalidConfig("seed must be an integer")
+        if type(self.window) is not int or self.window < 1:
+            raise InvalidConfig("window must be a positive tick count")
+        if self.dictionary_path is not None and not isinstance(self.dictionary_path, str):
+            raise InvalidConfig("dictionary must be a path string or null")
+        if self.scenario in WORDLIST_SCENARIOS and self.dictionary_path is None:
+            raise MissingDictionary(f"scenario {self.scenario!r} needs a dictionary")
+
     def to_obj(self) -> dict:
         return {"scenario": self.scenario, "seed": self.seed,
                 "window": self.window, "dictionary": self.dictionary_path}
 
     @classmethod
-    def from_obj(cls, obj: dict) -> "ScenarioConfig":
-        if set(obj) != {"scenario", "seed", "window", "dictionary"}:
-            raise TranscriptParseError(f"bad config keys: {sorted(obj)}")
+    def from_obj(cls, obj) -> "ScenarioConfig":
+        if not isinstance(obj, dict) or set(obj) != {"scenario", "seed", "window", "dictionary"}:
+            raise TranscriptParseError("config line is not an object with keys "
+                                       "scenario, seed, window and dictionary")
         return cls(scenario=obj["scenario"], seed=obj["seed"],
                    window=obj["window"], dictionary_path=obj["dictionary"])
 
@@ -140,9 +154,10 @@ class Event:
                 "kind": self.kind, "payload": self.payload}
 
     @classmethod
-    def from_obj(cls, obj: dict) -> "Event":
-        if set(obj) != {"seq", "time", "actor", "kind", "payload"}:
-            raise TranscriptParseError(f"bad event keys: {sorted(obj)}")
+    def from_obj(cls, obj) -> "Event":
+        if not isinstance(obj, dict) or set(obj) != {"seq", "time", "actor", "kind", "payload"}:
+            raise TranscriptParseError("event line is not an object with keys "
+                                       "seq, time, actor, kind and payload")
         return cls(obj["seq"], obj["time"], obj["actor"], obj["kind"], obj["payload"])
 
 
@@ -162,14 +177,12 @@ class Transcript:
         self.events.append(event)
         return event
 
-    def final_verdict(self) -> Event:
+    def outcome(self) -> str:
+        """Outcome of the scenario verdict that ends the transcript."""
         last = self.events[-1]
         if last.kind != "verdict" or last.payload.get("check") != "scenario":
             raise ValueError("transcript does not end in a scenario verdict")
-        return last
-
-    def outcome(self) -> str:
-        return self.final_verdict().payload["outcome"]
+        return last.payload["outcome"]
 
     def to_jsonl(self) -> str:
         lines = [_dumps(self.config.to_obj())]
@@ -181,10 +194,14 @@ class Transcript:
         lines = _jsonl_lines(text)
         if not lines:
             raise TranscriptParseError("empty transcript")
-        try:
-            objs = [json.loads(line) for line in lines]
-        except json.JSONDecodeError as exc:
-            raise TranscriptParseError(f"bad JSON on line {exc.lineno}: {exc.msg}") from None
+        objs = []
+        for number, line in enumerate(lines, 1):
+            try:
+                objs.append(json.loads(line))
+            except (ValueError, RecursionError) as exc:
+                # a JSONDecodeError's own line number counts within `line`
+                detail = exc.msg if isinstance(exc, json.JSONDecodeError) else exc
+                raise TranscriptParseError(f"bad JSON on line {number}: {detail}") from None
         transcript = cls(ScenarioConfig.from_obj(objs[0]))
         for position, obj in enumerate(objs[1:]):
             event = Event.from_obj(obj)
@@ -240,9 +257,9 @@ class Channel:
         return len(self._in_flight)
 
 
-def _random_password(rng: random.Random, length: int = 10) -> str:
+def _random_password(rng: random.Random) -> str:
     return "".join(_PASSWORD_ALPHABET[b % len(_PASSWORD_ALPHABET)]
-                   for b in rng.randbytes(length))
+                   for b in rng.randbytes(_PASSWORD_LEN))
 
 
 class _Run:
@@ -410,9 +427,8 @@ def _scenario_insider_change(run: _Run) -> Transcript:
              verifier=record.verifier.hex(),
              masked_verifier=record.masked_verifier.hex())
     run.clock.step(10)
-    mode = INSIDER_SUPPLY_VERIFIER
-    return run.hijack(card, lambda: insider_change_password(card, record, ATTACKER_PASSWORD,
-                                                            mode=mode), mode=mode)
+    return run.hijack(card, lambda: insider_change_password(card, record, ATTACKER_PASSWORD),
+                      mode=INSIDER_SUPPLY_VERIFIER)
 
 
 def _scenario_parallel_session(run: _Run) -> Transcript:
@@ -427,7 +443,7 @@ def _scenario_parallel_session(run: _Run) -> Transcript:
     second = run.server_verify(delivered)
     if second is not None:
         run.channel.send("server", second)
-        intercept_and_drop(run.channel)
+        run.channel.drop()
     return run.attack_verdict(second is not None)
 
 
@@ -444,26 +460,21 @@ WORDLIST_SCENARIOS = frozenset({"offline-guess", "outsider-change"})
 
 def run_scenario(config: ScenarioConfig) -> Transcript:
     """Execute a named scenario deterministically from its config."""
-    if config.scenario not in SCENARIOS:
-        raise InvalidConfig(f"unknown scenario {config.scenario!r}, "
-                            f"expected one of {sorted(SCENARIOS)}")
-    # type() rather than isinstance(): a bool is an int subclass
-    if type(config.seed) is not int:
-        raise InvalidConfig("seed must be an integer")
-    if type(config.window) is not int or config.window < 1:
-        raise InvalidConfig("window must be a positive tick count")
-    if config.scenario in WORDLIST_SCENARIOS and config.dictionary_path is None:
-        raise MissingDictionary(f"scenario {config.scenario!r} needs a dictionary")
     return SCENARIOS[config.scenario](_Run(config))
 
 
 def replay_transcript(path: str | Path) -> int:
     """Re-run a transcript file's embedded config and compare line by line.
 
-    Returns the number of verified events. Raises ReplayMismatch at the
-    first diverging event, TranscriptParseError on a malformed file.
+    The file is compared byte for byte, line endings included. Returns
+    the number of verified events. Raises ReplayMismatch at the first
+    diverging event, TranscriptParseError on a malformed file and
+    ScenarioError when the recorded config cannot run.
     """
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise TranscriptParseError(f"transcript is not UTF-8: {exc}") from None
     recorded = Transcript.from_jsonl(text)
     fresh = run_scenario(recorded.config)
 

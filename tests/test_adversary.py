@@ -16,12 +16,10 @@ from cardauthsim.adversary import (
     Wordlist,
     forge_parallel_login,
     insider_change_password,
-    intercept_and_drop,
     offline_guess,
     outsider_change_password,
 )
 from cardauthsim.blocks import Block, digest, encode_registered_identity, encode_timestamp, xor
-from cardauthsim.harness import Channel, Clock, ScenarioConfig, Transcript
 from cardauthsim.scheme import (
     AuthServer,
     BadAuthenticator,
@@ -267,49 +265,3 @@ class TestParallelSessionForge:
         assert response.authenticator == digest(xor(verifier, encode_timestamp(response.timestamp)))
         assert request.authenticator == digest(xor(verifier, encode_timestamp(request.timestamp)))
 
-
-class TestInterceptAndDrop:
-    def _channel(self):
-        config = ScenarioConfig(scenario="honest")
-        transcript = Transcript(config)
-        return Channel(transcript, Clock()), transcript
-
-    def test_dropped_message_never_arrives(self):
-        channel, transcript = self._channel()
-        server, card = _setup()
-        request, _ = card.login(IDENT, PASSWORD, 10)
-        response = server.verify_login(request, 11)
-        channel.send("server", response)
-        stolen = intercept_and_drop(channel)
-        assert stolen == response
-        assert channel.in_flight == 0
-        assert [e.kind for e in transcript.events] == ["send", "drop"]
-
-    def test_unrelated_exchange_unaffected(self):
-        channel, transcript = self._channel()
-        server, card = _setup()
-        first, _ = card.login(IDENT, PASSWORD, 10)
-        channel.send("card", first)
-        intercept_and_drop(channel)
-        second, _ = card.login(IDENT, PASSWORD, 12)
-        channel.send("card", second)
-        delivered = channel.deliver("server")
-        assert delivered == second
-        assert server.verify_login(delivered, 13)
-
-    def test_two_drops_logged_in_order(self):
-        channel, transcript = self._channel()
-        _, card = _setup()
-        first, _ = card.login(IDENT, PASSWORD, 10)
-        second, _ = card.login(IDENT, PASSWORD, 11)
-        channel.send("card", first)
-        channel.send("card", second)
-        assert intercept_and_drop(channel) == first
-        assert intercept_and_drop(channel) == second
-        drops = [e for e in transcript.events if e.kind == "drop"]
-        assert [d.payload["msg_id"] for d in drops] == [1, 2]
-
-    def test_drop_on_idle_channel_fails(self):
-        channel, _ = self._channel()
-        with pytest.raises(LookupError):
-            intercept_and_drop(channel)

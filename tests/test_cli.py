@@ -46,7 +46,7 @@ class TestDemo:
 
     def test_unreadable_dictionary_is_io_error(self, tmp_path, capsys):
         malformed = {"duplicate": b"a\nb\na\n", "blank-line": b"a\n\nb\n",
-                     "not-utf8": b"a\n\xff\xfe\n"}
+                     "not-utf8": b"a\n\xff\xfe\n", "crlf": b"a\r\nb\r\n", "cr": b"a\rb\r"}
         paths = ["/no/such/file"]
         for name, data in malformed.items():
             path = tmp_path / f"{name}.txt"
@@ -89,6 +89,10 @@ class TestDemo:
         assert "verdict" in out
         with pytest.raises(json.JSONDecodeError):
             json.loads(out.split("\n")[0])
+        # nested payloads render as the transcript's canonical JSON
+        send = next(line for line in out.split("\n") if "message=" in line)
+        message = send.split("message=", 1)[1].split(", ")[0]
+        assert json.loads(message)["type"] == "login"
 
     def test_unknown_scenario_is_usage_error(self, capsys):
         assert main(["demo", "replay-everything"]) == 2
@@ -132,11 +136,18 @@ class TestReplayCommand:
         assert "error" in err
 
     def test_garbage_file_is_error(self, tmp_path, capsys):
-        bad = tmp_path / "bad.jsonl"
-        bad.write_text("garbage\n", encoding="utf-8")
-        code = main(["replay", str(bad)])
-        _, err = capsys.readouterr()
-        assert code == 1
+        header = ('{"dictionary":null,"scenario":"parallel-session","seed":42,'
+                  '"window":5}\n').encode()
+        for data in (b"garbage\n", b"5\n", b"null\n", b'"text"\n',
+                     b'{"dictionary":null,"scenario":["x"],"seed":0,"window":5}\n',
+                     b'{"dictionary":5,"scenario":"honest","seed":0,"window":5}\n',
+                     header + b"7\n", header + b"\xff\xfe\n"):
+            bad = tmp_path / "bad.jsonl"
+            bad.write_bytes(data)
+            code = main(["replay", str(bad)])
+            _, err = capsys.readouterr()
+            assert code == 1, data
+            assert err.startswith("error: "), data
 
 
 class TestVectors:

@@ -5,7 +5,10 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cardauthsim.blocks import Block
 from cardauthsim.harness import (
     SCENARIOS,
     WORDLIST_SCENARIOS,
@@ -15,13 +18,22 @@ from cardauthsim.harness import (
     MissingDictionary,
     ReplayMismatch,
     ScenarioConfig,
+    ScenarioError,
     Transcript,
     TranscriptParseError,
     replay_transcript,
     run_scenario,
 )
+from cardauthsim.scheme import AuthServer, enroll
 
 DICT_PATH = str(Path(__file__).parent.parent / "data" / "dictionary.txt")
+GOLDEN = Path(__file__).parent.parent / "golden" / "parallel_session_seed42.jsonl"
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=8)
 
 
 def config_for(scenario, **kwargs):
@@ -56,10 +68,6 @@ class TestClock:
         for bad in (0, -1):
             with pytest.raises(ValueError):
                 clock.step(bad)
-
-    def test_rejects_negative_start(self):
-        with pytest.raises(ValueError):
-            Clock(-1)
 
 
 class TestTranscript:
@@ -97,6 +105,13 @@ class TestTranscript:
             Transcript.from_jsonl("")
         with pytest.raises(TranscriptParseError):
             Transcript.from_jsonl('{"scenario":"honest"}\n')
+        # the error names the line of the file, not a line within the JSON
+        header = run_scenario(config_for("honest")).to_jsonl().split("\n")[0]
+        with pytest.raises(TranscriptParseError, match="line 3"):
+            Transcript.from_jsonl(f"{header}\n{header}\n\n")
+        # json refuses integers this long with a plain ValueError
+        with pytest.raises(TranscriptParseError, match="line 1"):
+            Transcript.from_jsonl("1" * 5000 + "\n")
 
     def test_from_jsonl_rejects_reordered_events(self):
         text = run_scenario(config_for("honest", seed=3)).to_jsonl()
@@ -140,6 +155,45 @@ class TestChannel:
                 op()
         with pytest.raises(LookupError):
             channel.deliver("server")
+
+    def _enrolled(self):
+        server = AuthServer(Block(bytes(range(32))))
+        card = enroll(server, "alice", "correct-horse", Block(bytes(range(32, 64))))
+        return server, card
+
+    def test_dropped_message_never_arrives(self):
+        channel, transcript = self._fresh()
+        server, card = self._enrolled()
+        request, _ = card.login("alice", "correct-horse", 10)
+        response = server.verify_login(request, 11)
+        channel.send("server", response)
+        assert channel.drop() == response
+        assert channel.in_flight == 0
+        assert [e.kind for e in transcript.events] == ["send", "drop"]
+
+    def test_unrelated_exchange_unaffected(self):
+        channel, _ = self._fresh()
+        server, card = self._enrolled()
+        first, _ = card.login("alice", "correct-horse", 10)
+        channel.send("card", first)
+        channel.drop()
+        second, _ = card.login("alice", "correct-horse", 12)
+        channel.send("card", second)
+        delivered = channel.deliver("server")
+        assert delivered == second
+        assert server.verify_login(delivered, 13)
+
+    def test_two_drops_logged_in_order(self):
+        channel, transcript = self._fresh()
+        _, card = self._enrolled()
+        first, _ = card.login("alice", "correct-horse", 10)
+        second, _ = card.login("alice", "correct-horse", 11)
+        channel.send("card", first)
+        channel.send("card", second)
+        assert channel.drop() == first
+        assert channel.drop() == second
+        drops = [e for e in transcript.events if e.kind == "drop"]
+        assert [d.payload["msg_id"] for d in drops] == [1, 2]
 
 
 class TestScenarios:
@@ -231,6 +285,10 @@ class TestScenarios:
             run_scenario(ScenarioConfig(scenario="honest", seed="abc"))
         with pytest.raises(InvalidConfig):
             run_scenario(ScenarioConfig(scenario="honest", window=True))
+        with pytest.raises(InvalidConfig):
+            run_scenario(ScenarioConfig(scenario=["x"]))
+        with pytest.raises(InvalidConfig):
+            run_scenario(ScenarioConfig(scenario="honest", dictionary_path=5))
 
     def test_wordlist_scenarios_need_a_dictionary(self):
         for scenario in WORDLIST_SCENARIOS:
@@ -310,3 +368,36 @@ class TestReplay:
         path.write_text("definitely not json\n", encoding="utf-8")
         with pytest.raises(TranscriptParseError):
             replay_transcript(path)
+
+    def test_line_endings_are_compared_byte_for_byte(self, tmp_path):
+        golden = GOLDEN.read_bytes()
+        path = tmp_path / "copy.jsonl"
+        path.write_bytes(golden.replace(b"\n", b"\r\n"))
+        with pytest.raises(ReplayMismatch) as exc:
+            replay_transcript(path)
+        assert exc.value.seq == 0
+        # with bare CRs the file is a single line of several JSON values
+        path.write_bytes(golden.replace(b"\n", b"\r"))
+        with pytest.raises(TranscriptParseError):
+            replay_transcript(path)
+
+    @settings(max_examples=100, deadline=None)
+    @given(header=json_values | st.fixed_dictionaries(
+               {"scenario": st.sampled_from(sorted(SCENARIOS)) | json_values,
+                "seed": st.integers() | json_values, "window": st.integers() | json_values,
+                "dictionary": st.none() | json_values}),
+           event=json_values | st.fixed_dictionaries(
+               {key: json_values for key in ("seq", "time", "actor", "kind", "payload")}),
+           header_only=st.booleans())
+    def test_any_json_line_is_replayed_or_rejected(self, tmp_path_factory, header, event,
+                                                   header_only):
+        # A bad header meets the parser or the config; a bad event line
+        # after the golden header meets the parser or the comparison.
+        path = tmp_path_factory.getbasetemp() / "any-json-line.jsonl"
+        golden_header = GOLDEN.read_text(encoding="utf-8").split("\n", 1)[0]
+        lines = [json.dumps(header)] if header_only else [golden_header, json.dumps(event)]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        try:
+            replay_transcript(path)
+        except (ReplayMismatch, TranscriptParseError, ScenarioError):
+            pass
