@@ -195,6 +195,12 @@ class TestChannel:
         drops = [e for e in transcript.events if e.kind == "drop"]
         assert [d.payload["msg_id"] for d in drops] == [1, 2]
 
+    def test_drop_on_idle_channel_fails(self):
+        channel, transcript = self._fresh()
+        with pytest.raises(LookupError):
+            channel.drop()
+        assert transcript.events == []
+
 
 class TestScenarios:
     def test_expected_outcomes(self):
