@@ -1,84 +1,2 @@
 """Executable model of a hash-and-XOR smart-card login scheme, the four
 practical attacks that break it, and a deterministic simulation harness."""
-
-from .adversary import (
-    INSIDER_MODES,
-    INSIDER_SUPPLY_DIGEST,
-    INSIDER_SUPPLY_VERIFIER,
-    CardSecrets,
-    RegistrationRecord,
-    Wordlist,
-    forge_parallel_login,
-    insider_change_password,
-    offline_guess,
-    outsider_change_password,
-)
-from .blocks import (
-    BLOCK_LEN,
-    GOLDEN_DIGESTS,
-    ONES_BLOCK,
-    ZERO_BLOCK,
-    Block,
-    digest,
-    encode_identity,
-    encode_password,
-    encode_registered_identity,
-    encode_timestamp,
-    validate_identity,
-    validate_password,
-    xor,
-)
-from .harness import (
-    SCENARIOS,
-    WORDLIST_SCENARIOS,
-    Channel,
-    Clock,
-    Event,
-    InvalidConfig,
-    MissingDictionary,
-    ReplayMismatch,
-    ScenarioConfig,
-    ScenarioError,
-    Transcript,
-    TranscriptParseError,
-    replay_transcript,
-    run_scenario,
-)
-from .scheme import (
-    DEFAULT_WINDOW,
-    AuthServer,
-    BadAuthenticator,
-    LoginRequest,
-    PasswordChangeRejected,
-    ProtocolRejection,
-    ServerResponse,
-    SmartCard,
-    StaleTimestamp,
-    UnknownIdentity,
-    UserSession,
-    enroll,
-    message_from_wire,
-    message_to_wire,
-    password_digest,
-    verify_mutual_auth,
-)
-
-__all__ = [
-    "BLOCK_LEN", "Block", "ZERO_BLOCK", "ONES_BLOCK", "GOLDEN_DIGESTS",
-    "digest", "xor", "encode_identity", "encode_password",
-    "encode_timestamp", "encode_registered_identity",
-    "validate_identity", "validate_password",
-    "DEFAULT_WINDOW", "AuthServer", "SmartCard", "LoginRequest",
-    "ServerResponse", "UserSession", "password_digest", "enroll",
-    "verify_mutual_auth", "message_to_wire", "message_from_wire",
-    "ProtocolRejection", "UnknownIdentity", "StaleTimestamp",
-    "BadAuthenticator", "PasswordChangeRejected",
-    "CardSecrets", "RegistrationRecord", "Wordlist", "offline_guess",
-    "outsider_change_password", "insider_change_password",
-    "forge_parallel_login",
-    "INSIDER_MODES", "INSIDER_SUPPLY_VERIFIER", "INSIDER_SUPPLY_DIGEST",
-    "Clock", "Channel", "Event", "Transcript", "ScenarioConfig",
-    "ScenarioError", "InvalidConfig", "MissingDictionary",
-    "TranscriptParseError", "ReplayMismatch",
-    "SCENARIOS", "WORDLIST_SCENARIOS", "run_scenario", "replay_transcript",
-]

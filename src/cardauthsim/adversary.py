@@ -71,9 +71,13 @@ class Wordlist:
 
     @classmethod
     def load(cls, path: str | Path) -> "Wordlist":
-        """Read a UTF-8 wordlist file, one password per line, with no
-        blank lines and no carriage returns."""
-        text = Path(path).read_bytes().decode("utf-8")
+        """Read a UTF-8 wordlist file, one password per line, with no blank lines
+        and no carriage returns. OSError: unreadable; ValueError: malformed."""
+        try:
+            data = Path(path).read_bytes()
+        except ValueError as exc:  # open() refuses a path with a NUL or a lone surrogate
+            raise OSError(f"unusable path {path!r}: {exc}") from None
+        text = data.decode("utf-8")
         if "\r" in text:
             raise ValueError(f"carriage return in wordlist {path}")
         lines = text.split("\n")
@@ -100,6 +104,7 @@ def offline_guess(secrets: CardSecrets, request: LoginRequest,
     Returns (password, session secret) or None if no candidate matches.
     Needs no server interaction at all.
     """
+    # `scheme.proof` inlined: the stamp is folded once per scan, not per candidate
     stamp = encode_timestamp(request.timestamp)
     for word in wordlist:
         candidate = xor(secrets.masked_verifier, password_digest(word, secrets.salt))
@@ -138,8 +143,8 @@ def insider_change_password(card: SmartCard, record: RegistrationRecord,
 def forge_parallel_login(request: LoginRequest, response: ServerResponse) -> LoginRequest:
     """Turn one observed session into a fresh login request.
 
-    The server's reply is built by the same rule as the login proof it
-    just checked, only over its own clock, so (identity, reply proof,
+    The server's reply is `scheme.proof` of the same secret as the login
+    proof it just checked, only over its own clock, so (identity, reply proof,
     reply clock) is itself a login request the server will accept while
     the reply's timestamp stays fresh. Uses nothing but the two wire
     messages.

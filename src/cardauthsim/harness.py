@@ -17,6 +17,7 @@ import random
 import string
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import zip_longest
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -90,6 +91,13 @@ def _jsonl_lines(text: str) -> list[str]:
     return lines
 
 
+def _fields(obj, keys: tuple[str, ...], what: str) -> list:
+    """The values of a JSON object that has exactly `keys`, in key order."""
+    if not isinstance(obj, dict) or set(obj) != set(keys):
+        raise TranscriptParseError(f"{what} line is not an object with keys {', '.join(keys)}")
+    return [obj[key] for key in keys]
+
+
 class Clock:
     """Logical simulation clock from tick 0; advances only by explicit positive steps."""
 
@@ -118,9 +126,10 @@ class ScenarioConfig:
         if not isinstance(self.scenario, str) or self.scenario not in SCENARIOS:
             raise InvalidConfig(f"unknown scenario {self.scenario!r}, "
                                 f"expected one of {sorted(SCENARIOS)}")
-        # type() rather than isinstance(): a bool is an int subclass
-        if type(self.seed) is not int:
-            raise InvalidConfig("seed must be an integer")
+        # type() rather than isinstance(): a bool is an int subclass; and
+        # random.Random seeds by absolute value, so -n would replay seed n
+        if type(self.seed) is not int or self.seed < 0:
+            raise InvalidConfig("seed must be a non-negative integer")
         if type(self.window) is not int or self.window < 1:
             raise InvalidConfig("window must be a positive tick count")
         if self.dictionary_path is not None and not isinstance(self.dictionary_path, str):
@@ -134,11 +143,7 @@ class ScenarioConfig:
 
     @classmethod
     def from_obj(cls, obj) -> "ScenarioConfig":
-        if not isinstance(obj, dict) or set(obj) != {"scenario", "seed", "window", "dictionary"}:
-            raise TranscriptParseError("config line is not an object with keys "
-                                       "scenario, seed, window and dictionary")
-        return cls(scenario=obj["scenario"], seed=obj["seed"],
-                   window=obj["window"], dictionary_path=obj["dictionary"])
+        return cls(*_fields(obj, ("scenario", "seed", "window", "dictionary"), "config"))
 
 
 @dataclass(frozen=True)
@@ -155,10 +160,7 @@ class Event:
 
     @classmethod
     def from_obj(cls, obj) -> "Event":
-        if not isinstance(obj, dict) or set(obj) != {"seq", "time", "actor", "kind", "payload"}:
-            raise TranscriptParseError("event line is not an object with keys "
-                                       "seq, time, actor, kind and payload")
-        return cls(obj["seq"], obj["time"], obj["actor"], obj["kind"], obj["payload"])
+        return cls(*_fields(obj, ("seq", "time", "actor", "kind", "payload"), "event"))
 
 
 @dataclass
@@ -475,14 +477,10 @@ def replay_transcript(path: str | Path) -> int:
         text = Path(path).read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise TranscriptParseError(f"transcript is not UTF-8: {exc}") from None
-    recorded = Transcript.from_jsonl(text)
-    fresh = run_scenario(recorded.config)
-
-    recorded_lines = _jsonl_lines(text)[1:]
+    fresh = run_scenario(Transcript.from_jsonl(text).config)
     fresh_lines = _jsonl_lines(fresh.to_jsonl())[1:]
-    for seq, (old, new) in enumerate(zip(recorded_lines, fresh_lines)):
+    # a line missing from either side pairs with None and so differs
+    for seq, (old, new) in enumerate(zip_longest(_jsonl_lines(text)[1:], fresh_lines)):
         if old != new:
             raise ReplayMismatch(seq)
-    if len(recorded_lines) != len(fresh_lines):
-        raise ReplayMismatch(min(len(recorded_lines), len(fresh_lines)))
     return len(fresh_lines)

@@ -15,6 +15,7 @@ password-change phase does check it locally, and that asymmetry is what
 the attacks in `adversary` exploit.
 """
 
+import hmac
 import re
 from dataclasses import dataclass
 
@@ -95,6 +96,12 @@ def password_digest(password: str, salt: Block) -> Block:
     return digest(xor(salt, encode_password(password)))
 
 
+def proof(secret: Block, ticks: int) -> Block:
+    """Wire authenticator: `secret` hashed against a clock reading. Login, reply
+    and both their checks use it, so a server reply is a valid login proof."""
+    return digest(xor(secret, encode_timestamp(ticks)))
+
+
 @dataclass
 class SmartCard:
     """Issued card state: the verifier, the verifier masked by the
@@ -111,7 +118,7 @@ class SmartCard:
         the server will refuse.
         """
         secret = xor(self.masked_verifier, password_digest(password, self.salt))
-        authenticator = digest(xor(secret, encode_timestamp(timestamp)))
+        authenticator = proof(secret, timestamp)
         request = LoginRequest(validate_identity(identity), authenticator, timestamp)
         return request, UserSession(secret, timestamp)
 
@@ -130,7 +137,7 @@ class SmartCard:
         re-mask the verifier under the new password if `old_digest`
         unmasks it. The card cannot tell who produced the digest."""
         candidate = xor(self.masked_verifier, old_digest)
-        if candidate != self.verifier:
+        if not hmac.compare_digest(candidate, self.verifier):
             raise PasswordChangeRejected("old password does not unmask the verifier")
         self.masked_verifier = xor(candidate, password_digest(new_password, self.salt))
 
@@ -182,10 +189,9 @@ class AuthServer:
             raise StaleTimestamp(
                 f"login stamped {request.timestamp} received at {received_at}, window {window}")
         verifier = self._verifier_for(request.identity)
-        expected = digest(xor(verifier, encode_timestamp(request.timestamp)))
-        if request.authenticator != expected:
+        if not hmac.compare_digest(request.authenticator, proof(verifier, request.timestamp)):
             raise BadAuthenticator("login proof does not match this account")
-        return ServerResponse(digest(xor(verifier, encode_timestamp(received_at))), received_at)
+        return ServerResponse(proof(verifier, received_at), received_at)
 
 
 def verify_mutual_auth(session: UserSession, response: ServerResponse,
@@ -198,7 +204,7 @@ def verify_mutual_auth(session: UserSession, response: ServerResponse,
     if not _fresh(response.timestamp, session.sent_at, session.sent_at + window):
         raise StaleTimestamp(
             f"reply stamped {response.timestamp} for a login sent at {session.sent_at}")
-    if response.authenticator != digest(xor(session.secret, encode_timestamp(response.timestamp))):
+    if not hmac.compare_digest(response.authenticator, proof(session.secret, response.timestamp)):
         raise BadAuthenticator("server reply does not prove the session secret")
 
 

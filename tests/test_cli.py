@@ -141,6 +141,7 @@ class TestReplayCommand:
         for data in (b"garbage\n", b"5\n", b"null\n", b'"text"\n',
                      b'{"dictionary":null,"scenario":["x"],"seed":0,"window":5}\n',
                      b'{"dictionary":5,"scenario":"honest","seed":0,"window":5}\n',
+                     b'{"dictionary":null,"scenario":"honest","seed":-1,"window":5}\n',
                      header + b"7\n", header + b"\xff\xfe\n"):
             bad = tmp_path / "bad.jsonl"
             bad.write_bytes(data)

@@ -295,14 +295,17 @@ class TestScenarios:
             run_scenario(ScenarioConfig(scenario=["x"]))
         with pytest.raises(InvalidConfig):
             run_scenario(ScenarioConfig(scenario="honest", dictionary_path=5))
+        with pytest.raises(InvalidConfig):
+            run_scenario(ScenarioConfig(scenario="honest", seed=-5))
 
     def test_wordlist_scenarios_need_a_dictionary(self):
         for scenario in WORDLIST_SCENARIOS:
             with pytest.raises(MissingDictionary):
                 run_scenario(ScenarioConfig(scenario=scenario))
-            with pytest.raises(MissingDictionary):
-                run_scenario(ScenarioConfig(scenario=scenario,
-                                            dictionary_path="/nonexistent/words.txt"))
+            # open() itself refuses the last two paths
+            for path in ("/nonexistent/words.txt", "a\u0000b", "\ud800"):
+                with pytest.raises(MissingDictionary, match="cannot read dictionary"):
+                    run_scenario(ScenarioConfig(scenario=scenario, dictionary_path=path))
 
     def test_victim_password_comes_from_the_wordlist(self, tmp_path):
         path = tmp_path / "tiny.txt"

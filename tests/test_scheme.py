@@ -29,6 +29,7 @@ from cardauthsim.scheme import (
     message_from_wire,
     message_to_wire,
     password_digest,
+    proof,
     verify_mutual_auth,
 )
 
@@ -93,6 +94,9 @@ class TestKnownAnswers:
         assert card.masked_verifier.hex() == KAT["masked_verifier"]
         assert request.authenticator.hex() == KAT["login_authenticator"]
         assert response.authenticator.hex() == KAT["response_authenticator"]
+        # the login proof and the reply are one rule over two clocks
+        assert proof(card.verifier, 10) == request.authenticator
+        assert proof(card.verifier, 11) == response.authenticator
 
     def test_oracle_recomputation(self):
         # rebuild every value with hashlib + local xor only
