@@ -11,9 +11,11 @@ that digest, and the server's mutual-auth reply has exactly the shape of
 a valid login proof.
 """
 
+import os
+import stat
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 from .blocks import Block, digest, encode_timestamp, validate_password, xor
 from .scheme import (
@@ -54,28 +56,31 @@ class RegistrationRecord:
     masked_verifier: Block
 
 
-class Wordlist:
+class Wordlist(tuple):
     """Ordered, duplicate-free candidate passwords; order is guess order."""
 
-    def __init__(self, words: Iterable[str]):
-        words = tuple(words)
-        if not words:
+    def __new__(cls, words: Iterable[str]) -> "Wordlist":
+        self = super().__new__(cls, words)
+        if not self:
             raise ValueError("wordlist must not be empty")
         seen = set()
-        for word in words:
+        for word in self:
             validate_password(word)
             if word in seen:
                 raise ValueError(f"duplicate wordlist entry: {word!r}")
             seen.add(word)
-        self.words = words
+        return self
 
     @classmethod
     def load(cls, path: str | Path) -> "Wordlist":
-        """Read a UTF-8 wordlist file, one password per line, with no blank lines
-        and no carriage returns. OSError: unreadable; ValueError: malformed."""
+        """Read a UTF-8 wordlist file, one password per line, no blank lines, no
+        carriage returns. OSError: unreadable or not a regular file; ValueError: malformed."""
         try:
+            # checked before opening: a FIFO would block and a device never end
+            if not stat.S_ISREG(os.stat(path).st_mode):
+                raise OSError(f"not a regular file: {path}")
             data = Path(path).read_bytes()
-        except ValueError as exc:  # open() refuses a path with a NUL or a lone surrogate
+        except ValueError as exc:  # the OS call refuses a path with a NUL or a lone surrogate
             raise OSError(f"unusable path {path!r}: {exc}") from None
         text = data.decode("utf-8")
         if "\r" in text:
@@ -86,12 +91,6 @@ class Wordlist:
         if any(line == "" for line in lines):
             raise ValueError(f"blank line in wordlist {path}")
         return cls(lines)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.words)
-
-    def __len__(self) -> int:
-        return len(self.words)
 
 
 def offline_guess(secrets: CardSecrets, request: LoginRequest,

@@ -70,7 +70,7 @@ def _cmd_demo(args) -> int:
         config = ScenarioConfig(scenario=args.scenario, seed=args.seed,
                                 window=args.window, dictionary_path=args.dictionary)
         transcript = run_scenario(config)
-    except (ScenarioError, OSError) as exc:
+    except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -98,19 +98,6 @@ def _fields(obj, keys: tuple[str, ...], what: str) -> list:
     return [obj[key] for key in keys]
 
 
-class Clock:
-    """Logical simulation clock from tick 0; advances only by explicit positive steps."""
-
-    def __init__(self):
-        self.now = 0
-
-    def step(self, ticks: int = 1) -> int:
-        if ticks < 1:
-            raise ValueError("clock only moves forward")
-        self.now += ticks
-        return self.now
-
-
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Everything a scenario run depends on; equal configs give
@@ -136,6 +123,8 @@ class ScenarioConfig:
             raise InvalidConfig("dictionary must be a path string or null")
         if self.scenario in WORDLIST_SCENARIOS and self.dictionary_path is None:
             raise MissingDictionary(f"scenario {self.scenario!r} needs a dictionary")
+        if self.scenario not in WORDLIST_SCENARIOS and self.dictionary_path is not None:
+            raise InvalidConfig(f"scenario {self.scenario!r} takes no dictionary")
 
     def to_obj(self) -> dict:
         return {"scenario": self.scenario, "seed": self.seed,
@@ -165,17 +154,24 @@ class Event:
 
 @dataclass
 class Transcript:
-    """Ordered event log of one scenario run, with its config embedded."""
+    """Ordered event log of one scenario run, with its config embedded.
+    `now` is the run's logical clock from tick 0; it stamps every event."""
 
     config: ScenarioConfig
     events: list[Event] = field(default_factory=list)
+    now: int = field(default=0, init=False, compare=False)
 
-    def record(self, time: int, actor: str, kind: str, payload: dict) -> Event:
+    def step(self, ticks: int = 1) -> None:
+        if ticks < 1:
+            raise ValueError("clock only moves forward")
+        self.now += ticks
+
+    def record(self, actor: str, kind: str, payload: dict) -> Event:
         if actor not in ACTORS:
             raise ValueError(f"unknown actor {actor!r}")
         if kind not in EVENT_KINDS:
             raise ValueError(f"unknown event kind {kind!r}")
-        event = Event(len(self.events), time, actor, kind, payload)
+        event = Event(len(self.events), self.now, actor, kind, payload)
         self.events.append(event)
         return event
 
@@ -219,14 +215,13 @@ class Channel:
     it may copy the oldest in-flight message or remove it entirely.
     Whatever is sent is eventually delivered or explicitly dropped."""
 
-    def __init__(self, transcript: Transcript, clock: Clock):
+    def __init__(self, transcript: Transcript):
         self._transcript = transcript
-        self._clock = clock
         self._in_flight: deque[tuple[int, object]] = deque()
         self._next_id = 1
 
     def _log(self, actor: str, kind: str, msg_id: int, message) -> None:
-        self._transcript.record(self._clock.now, actor, kind,
+        self._transcript.record(actor, kind,
                                 {"msg_id": msg_id, "message": message_to_wire(message)})
 
     def send(self, sender: str, message) -> int:
@@ -236,9 +231,11 @@ class Channel:
         self._log(sender, "send", msg_id, message)
         return msg_id
 
-    def _take_oldest(self, actor: str, kind: str, remove: bool):
+    def _take_oldest(self, actor: str, kind: str, remove: bool, hop: bool = False):
         if not self._in_flight:
             raise LookupError(f"nothing in flight to {kind}")
+        if hop:
+            self._transcript.step()
         msg_id, message = self._in_flight.popleft() if remove else self._in_flight[0]
         self._log(actor, kind, msg_id, message)
         return message
@@ -248,7 +245,8 @@ class Channel:
         return self._take_oldest("intruder", "intercept", remove=False)
 
     def deliver(self, receiver: str):
-        return self._take_oldest(receiver, "deliver", remove=True)
+        """Hand the oldest in-flight message to `receiver`; the hop takes one tick."""
+        return self._take_oldest(receiver, "deliver", remove=True, hop=True)
 
     def drop(self):
         """Intruder removes the oldest in-flight message for good."""
@@ -275,9 +273,8 @@ class _Run:
     def __init__(self, config: ScenarioConfig):
         self.config = config
         self.rng = random.Random(config.seed)
-        self.clock = Clock()
         self.transcript = Transcript(config)
-        self.channel = Channel(self.transcript, self.clock)
+        self.channel = Channel(self.transcript)
         self.server = AuthServer(Block(self.rng.randbytes(BLOCK_LEN)))
         self.salt = Block(self.rng.randbytes(BLOCK_LEN))
         self.wordlist: Optional[Wordlist] = None
@@ -288,15 +285,14 @@ class _Run:
                 raise MissingDictionary(f"cannot read dictionary: {exc}") from None
             except ValueError as exc:
                 raise ScenarioError(f"malformed dictionary: {exc}") from None
-            self.victim_password = self.wordlist.words[self.rng.randrange(len(self.wordlist))]
+            self.victim_password = self.wordlist[self.rng.randrange(len(self.wordlist))]
         else:
             self.victim_password = _random_password(self.rng)
 
     # -- event helpers -------------------------------------------------
 
     def note(self, actor: str, action: str, **detail) -> None:
-        self.transcript.record(self.clock.now, actor, "state-change",
-                               {"action": action, **detail})
+        self.transcript.record(actor, "state-change", {"action": action, **detail})
 
     def run_check(self, actor: str, check: str, step: Callable, **detail):
         """Run one protocol check and record its verdict.
@@ -310,13 +306,12 @@ class _Run:
             result = step()
         except ProtocolRejection as exc:
             payload.update(outcome="reject", reason=exc.reason)
-        self.transcript.record(self.clock.now, actor, "verdict", payload)
+        self.transcript.record(actor, "verdict", payload)
         return payload["outcome"] == "accept", result
 
     def scenario_verdict(self, outcome: str) -> Transcript:
-        self.transcript.record(self.clock.now, "harness", "verdict",
-                               {"check": "scenario", "outcome": outcome,
-                                "scenario": self.config.scenario})
+        self.transcript.record("harness", "verdict", {"check": "scenario", "outcome": outcome,
+                                                      "scenario": self.config.scenario})
         return self.transcript
 
     def attack_verdict(self, succeeded: bool) -> Transcript:
@@ -333,23 +328,22 @@ class _Run:
 
     def server_verify(self, request: LoginRequest) -> Optional[ServerResponse]:
         _, response = self.run_check("server", "login", lambda: self.server.verify_login(
-            request, self.clock.now, self.config.window))
+            request, self.transcript.now, self.config.window))
         return response
 
-    def login_roundtrip(self, card: SmartCard, password: str, *, sender: str = "card",
-                        receiver: str = "user", tap_request: bool = False,
-                        tap_response: bool = False):
+    def login_roundtrip(self, card: SmartCard, password: str, *, by_intruder: bool = False,
+                        tap_request: bool = False, tap_response: bool = False):
         """One full login exchange: send, deliver, verify, reply, check.
 
         Returns (request, response, accepted); response is None when the
-        server rejected. `tap_*` make the intruder copy messages in
-        flight.
+        server rejected. `by_intruder` has the intruder, not the card and
+        the user, send and receive; `tap_*` make it copy messages in flight.
         """
-        request, session = card.login(VICTIM_ID, password, self.clock.now)
+        sender, receiver = ("intruder", "intruder") if by_intruder else ("card", "user")
+        request, session = card.login(VICTIM_ID, password, self.transcript.now)
         self.channel.send(sender, request)
         if tap_request:
             self.channel.intercept()
-        self.clock.step()
         delivered = self.channel.deliver("server")
         response = self.server_verify(delivered)
         if response is None:
@@ -357,7 +351,6 @@ class _Run:
         self.channel.send("server", response)
         if tap_response:
             self.channel.intercept()
-        self.clock.step()
         arrived = self.channel.deliver(receiver)
         accepted, _ = self.run_check(receiver, "mutual-auth", lambda: verify_mutual_auth(
             session, arrived, self.config.window))
@@ -368,7 +361,7 @@ class _Run:
         and scan the wordlist offline. Returns the card and the recovered
         password, or None when no candidate matched."""
         card = self.register_victim()
-        self.clock.step(10)
+        self.transcript.step(10)
         request, _, _ = self.login_roundtrip(card, self.victim_password, tap_request=True)
         secrets = CardSecrets.from_card(card)
         self.note("intruder", "breach-card-secrets",
@@ -377,11 +370,11 @@ class _Run:
                   salt=secrets.salt.hex())
         found = offline_guess(secrets, request, self.wordlist)
         password = None if found is None else found[0]
-        words = self.wordlist.words
+        size = len(self.wordlist)
         self.note("intruder", "offline-guess",
                   result="not-found" if password is None else "found", password=password,
-                  probes=len(words) if password is None else words.index(password) + 1,
-                  wordlist_size=len(words))
+                  probes=size if password is None else self.wordlist.index(password) + 1,
+                  wordlist_size=size)
         return card, password
 
     def hijack(self, card: SmartCard, change: Callable[[], None], **detail) -> Transcript:
@@ -389,11 +382,10 @@ class _Run:
         login with the victim's password and one with the attacker's.
         The attack succeeds when only the attacker gets in."""
         changed, _ = self.run_check("card", "password-change", change, by="intruder", **detail)
-        self.clock.step()
+        self.transcript.step()
         *_, victim_ok = self.login_roundtrip(card, self.victim_password)
-        self.clock.step()
-        *_, attacker_ok = self.login_roundtrip(card, ATTACKER_PASSWORD,
-                                               sender="intruder", receiver="intruder")
+        self.transcript.step()
+        *_, attacker_ok = self.login_roundtrip(card, ATTACKER_PASSWORD, by_intruder=True)
         return self.attack_verdict(changed and not victim_ok and attacker_ok)
 
 
@@ -402,7 +394,7 @@ class _Run:
 
 def _scenario_honest(run: _Run) -> Transcript:
     card = run.register_victim()
-    run.clock.step(10)
+    run.transcript.step(10)
     *_, accepted = run.login_roundtrip(card, run.victim_password)
     return run.scenario_verdict("accepted" if accepted else "rejected")
 
@@ -416,7 +408,7 @@ def _scenario_outsider_change(run: _Run) -> Transcript:
     card, password = run.steal_password()
     if password is None:
         return run.attack_verdict(False)
-    run.clock.step()
+    run.transcript.step()
     return run.hijack(card, lambda: outsider_change_password(card, password, ATTACKER_PASSWORD))
 
 
@@ -428,19 +420,18 @@ def _scenario_insider_change(run: _Run) -> Transcript:
              password_digest=record.password_digest.hex(),
              verifier=record.verifier.hex(),
              masked_verifier=record.masked_verifier.hex())
-    run.clock.step(10)
+    run.transcript.step(10)
     return run.hijack(card, lambda: insider_change_password(card, record, ATTACKER_PASSWORD),
                       mode=INSIDER_SUPPLY_VERIFIER)
 
 
 def _scenario_parallel_session(run: _Run) -> Transcript:
     card = run.register_victim()
-    run.clock.step(10)
+    run.transcript.step(10)
     request, response, _ = run.login_roundtrip(card, run.victim_password,
                                                tap_request=True, tap_response=True)
     forged = forge_parallel_login(request, response)
     run.channel.send("intruder", forged)
-    run.clock.step()
     delivered = run.channel.deliver("server")
     second = run.server_verify(delivered)
     if second is not None:

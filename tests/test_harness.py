@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,6 @@ from cardauthsim.harness import (
     SCENARIOS,
     WORDLIST_SCENARIOS,
     Channel,
-    Clock,
     InvalidConfig,
     MissingDictionary,
     ReplayMismatch,
@@ -57,32 +57,34 @@ def assert_channel_conserved(transcript):
 
 class TestClock:
     def test_starts_at_zero_and_steps(self):
-        clock = Clock()
-        assert clock.now == 0
-        clock.step()
-        clock.step(9)
-        assert clock.now == 10
+        transcript = Transcript(config_for("honest"))
+        assert transcript.now == 0
+        transcript.step()
+        transcript.step(9)
+        assert transcript.now == 10
+        assert transcript.record("server", "state-change", {"action": "x"}).time == 10
 
     def test_never_rewinds(self):
-        clock = Clock()
+        transcript = Transcript(config_for("honest"))
         for bad in (0, -1):
             with pytest.raises(ValueError):
-                clock.step(bad)
+                transcript.step(bad)
+        assert transcript.now == 0
 
 
 class TestTranscript:
     def test_seq_strictly_increases(self):
         transcript = Transcript(config_for("honest"))
         for i in range(5):
-            event = transcript.record(i, "server", "state-change", {"action": "x"})
+            event = transcript.record("server", "state-change", {"action": "x"})
             assert event.seq == i
 
     def test_rejects_unknown_actor_and_kind(self):
         transcript = Transcript(config_for("honest"))
         with pytest.raises(ValueError):
-            transcript.record(0, "eve", "send", {})
+            transcript.record("eve", "send", {})
         with pytest.raises(ValueError):
-            transcript.record(0, "user", "teleport", {})
+            transcript.record("user", "teleport", {})
 
     def test_jsonl_round_trip(self):
         transcript = run_scenario(config_for("honest", seed=3))
@@ -124,7 +126,7 @@ class TestTranscript:
 class TestChannel:
     def _fresh(self):
         transcript = Transcript(config_for("honest"))
-        return Channel(transcript, Clock()), transcript
+        return Channel(transcript), transcript
 
     def test_send_then_deliver_in_order(self):
         from cardauthsim.scheme import LoginRequest
@@ -137,6 +139,8 @@ class TestChannel:
         assert channel.deliver("server") == first
         assert channel.deliver("server") == second
         assert [e.kind for e in transcript.events] == ["send", "send", "deliver", "deliver"]
+        # each delivery is a hop of one tick; sends take no time
+        assert [e.time for e in transcript.events] == [0, 0, 1, 2]
 
     def test_intercept_copies_without_removing(self):
         from cardauthsim.scheme import LoginRequest
@@ -297,13 +301,19 @@ class TestScenarios:
             run_scenario(ScenarioConfig(scenario="honest", dictionary_path=5))
         with pytest.raises(InvalidConfig):
             run_scenario(ScenarioConfig(scenario="honest", seed=-5))
+        # a dictionary-free scenario would record the path and ignore it
+        for scenario in set(SCENARIOS) - WORDLIST_SCENARIOS:
+            with pytest.raises(InvalidConfig, match="takes no dictionary"):
+                ScenarioConfig(scenario=scenario, dictionary_path=DICT_PATH)
 
-    def test_wordlist_scenarios_need_a_dictionary(self):
+    def test_wordlist_scenarios_need_a_dictionary(self, tmp_path):
+        fifo = tmp_path / "words.fifo"
+        os.mkfifo(fifo)  # reading it would block with no writer
         for scenario in WORDLIST_SCENARIOS:
             with pytest.raises(MissingDictionary):
                 run_scenario(ScenarioConfig(scenario=scenario))
-            # open() itself refuses the last two paths
-            for path in ("/nonexistent/words.txt", "a\u0000b", "\ud800"):
+            # "a\0b" and "\ud800" cannot name a file; /dev/null and the FIFO are not regular files
+            for path in ("/nonexistent/words.txt", "a\u0000b", "\ud800", "/dev/null", str(fifo)):
                 with pytest.raises(MissingDictionary, match="cannot read dictionary"):
                     run_scenario(ScenarioConfig(scenario=scenario, dictionary_path=path))
 
