@@ -38,10 +38,6 @@ class Block(bytes):
             raise ValueError(f"block must be exactly {BLOCK_LEN} bytes, got {len(data)}")
         return super().__new__(cls, data)
 
-    @classmethod
-    def from_hex(cls, text: str) -> "Block":
-        return cls(bytes.fromhex(text))
-
 
 ZERO_BLOCK = Block(bytes(BLOCK_LEN))
 ONES_BLOCK = Block(b"\xff" * BLOCK_LEN)

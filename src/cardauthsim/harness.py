@@ -217,26 +217,25 @@ class Channel:
 
     def __init__(self, transcript: Transcript):
         self._transcript = transcript
-        self._in_flight: deque[tuple[int, object]] = deque()
+        self._pending: deque[tuple[int, object]] = deque()
         self._next_id = 1
 
     def _log(self, actor: str, kind: str, msg_id: int, message) -> None:
         self._transcript.record(actor, kind,
                                 {"msg_id": msg_id, "message": message_to_wire(message)})
 
-    def send(self, sender: str, message) -> int:
+    def send(self, sender: str, message) -> None:
         msg_id = self._next_id
         self._next_id += 1
-        self._in_flight.append((msg_id, message))
+        self._pending.append((msg_id, message))
         self._log(sender, "send", msg_id, message)
-        return msg_id
 
     def _take_oldest(self, actor: str, kind: str, remove: bool, hop: bool = False):
-        if not self._in_flight:
+        if not self._pending:
             raise LookupError(f"nothing in flight to {kind}")
         if hop:
             self._transcript.step()
-        msg_id, message = self._in_flight.popleft() if remove else self._in_flight[0]
+        msg_id, message = self._pending.popleft() if remove else self._pending[0]
         self._log(actor, kind, msg_id, message)
         return message
 
@@ -251,10 +250,6 @@ class Channel:
     def drop(self):
         """Intruder removes the oldest in-flight message for good."""
         return self._take_oldest("intruder", "drop", remove=True)
-
-    @property
-    def in_flight(self) -> int:
-        return len(self._in_flight)
 
 
 def _random_password(rng: random.Random) -> str:

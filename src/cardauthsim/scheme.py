@@ -16,11 +16,9 @@ the attacks in `adversary` exploit.
 """
 
 import hmac
-import re
 from dataclasses import dataclass
 
 from .blocks import (
-    BLOCK_LEN,
     TIMESTAMP_LIMIT,
     Block,
     digest,
@@ -39,9 +37,6 @@ class ProtocolRejection(Exception):
     """A party refused a protocol step; `reason` names which check failed."""
 
     reason = "rejected"
-
-    def __init__(self, detail: str = ""):
-        super().__init__(detail or self.reason)
 
 
 class UnknownIdentity(ProtocolRejection):
@@ -214,10 +209,6 @@ def enroll(server: AuthServer, identity: str, password: str, salt: Block) -> Sma
     return SmartCard(verifier, masked, salt)
 
 
-_WIRE_KEYS = {"login": {"type", "id", "c2", "t"}, "response": {"type", "c3", "t"}}
-_CANONICAL_HEX = re.compile(f"[0-9a-f]{{{2 * BLOCK_LEN}}}")
-
-
 def message_to_wire(message: LoginRequest | ServerResponse) -> dict:
     """Serialise a wire message to its JSON object form."""
     if isinstance(message, LoginRequest):
@@ -226,28 +217,3 @@ def message_to_wire(message: LoginRequest | ServerResponse) -> dict:
     if isinstance(message, ServerResponse):
         return {"type": "response", "c3": message.authenticator.hex(), "t": message.timestamp}
     raise TypeError(f"not a wire message: {message!r}")
-
-
-def message_from_wire(obj) -> LoginRequest | ServerResponse:
-    """Parse the JSON object form back into a wire message.
-
-    The strict inverse of `message_to_wire`: raises ValueError for any
-    object it cannot produce, such as a missing or extra key, hex that is
-    not lowercase, or a `t` that is not an integer.
-    """
-    kind = obj.get("type") if isinstance(obj, dict) else None
-    if kind not in ("login", "response"):
-        raise ValueError(f"unknown wire message type: {kind!r}")
-    if set(obj) != _WIRE_KEYS[kind]:
-        raise ValueError(f"{kind} message needs exactly the keys {sorted(_WIRE_KEYS[kind])}")
-    proof = obj["c2" if kind == "login" else "c3"]
-    if not (isinstance(proof, str) and _CANONICAL_HEX.fullmatch(proof)):
-        raise ValueError(f"authenticator must be {2 * BLOCK_LEN} lowercase hex digits")
-    # type() rather than isinstance(): a bool is an int subclass
-    if type(obj["t"]) is not int:
-        raise ValueError("t must be an integer")
-    if kind == "response":
-        return ServerResponse(Block.from_hex(proof), obj["t"])
-    if not isinstance(obj["id"], str):
-        raise ValueError("id must be a string")
-    return LoginRequest(obj["id"], Block.from_hex(proof), obj["t"])

@@ -23,10 +23,10 @@ from cardauthsim.blocks import Block, digest, encode_registered_identity, encode
 from cardauthsim.scheme import (
     AuthServer,
     BadAuthenticator,
+    LoginRequest,
     PasswordChangeRejected,
     StaleTimestamp,
     enroll,
-    message_from_wire,
     message_to_wire,
     password_digest,
     verify_mutual_auth,
@@ -130,7 +130,8 @@ class TestOfflineGuess:
         # intercepted request: rebuild it from the wire form alone
         _, card = _setup()
         request, _ = card.login(IDENT, PASSWORD, 10)
-        off_the_wire = message_from_wire(message_to_wire(request))
+        wire = message_to_wire(request)
+        off_the_wire = LoginRequest(wire["id"], Block(bytes.fromhex(wire["c2"])), wire["t"])
         found = offline_guess(CardSecrets.from_card(card), off_the_wire, Wordlist([PASSWORD]))
         assert found is not None
 
@@ -246,9 +247,11 @@ class TestParallelSessionForge:
 
     def test_forge_built_from_wire_messages_alone(self):
         server, request, response = self._observed_session()
-        req2 = message_from_wire(message_to_wire(request))
-        resp2 = message_from_wire(message_to_wire(response))
-        forged = forge_parallel_login(req2, resp2)
+        req, resp = message_to_wire(request), message_to_wire(response)
+        forged = forge_parallel_login(request, response)
+        # the forge is the observed identity plus the server's reply fields
+        assert message_to_wire(forged) == {"type": "login", "id": req["id"],
+                                           "c2": resp["c3"], "t": resp["t"]}
         assert server.verify_login(forged, response.timestamp + 1)
 
     @settings(max_examples=100, deadline=None)

@@ -3,13 +3,15 @@
 import hashlib
 import json
 import os
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cardauthsim.blocks import Block
+from cardauthsim import harness
+from cardauthsim.blocks import Block, digest
 from cardauthsim.harness import (
     SCENARIOS,
     WORDLIST_SCENARIOS,
@@ -24,7 +26,15 @@ from cardauthsim.harness import (
     replay_transcript,
     run_scenario,
 )
-from cardauthsim.scheme import AuthServer, enroll
+from cardauthsim.scheme import (
+    DEFAULT_WINDOW,
+    AuthServer,
+    ServerResponse,
+    UserSession,
+    enroll,
+    proof,
+    verify_mutual_auth,
+)
 
 DICT_PATH = str(Path(__file__).parent.parent / "data" / "dictionary.txt")
 GOLDEN = Path(__file__).parent.parent / "golden" / "parallel_session_seed42.jsonl"
@@ -149,7 +159,6 @@ class TestChannel:
         message = LoginRequest("alice", Block(bytes(32)), 1)
         channel.send("card", message)
         assert channel.intercept() == message
-        assert channel.in_flight == 1
         assert channel.deliver("server") == message
 
     def test_empty_channel_operations_fail(self):
@@ -172,7 +181,8 @@ class TestChannel:
         response = server.verify_login(request, 11)
         channel.send("server", response)
         assert channel.drop() == response
-        assert channel.in_flight == 0
+        with pytest.raises(LookupError):
+            channel.deliver("user")
         assert [e.kind for e in transcript.events] == ["send", "drop"]
 
     def test_unrelated_exchange_unaffected(self):
@@ -327,6 +337,40 @@ class TestScenarios:
         assert guess.payload["result"] == "found"
         assert guess.payload["password"] == "only-entry"
         assert guess.payload["probes"] == 1
+
+
+class TestNegativeControl:
+    """The parallel-session forge works only because the server's reply
+    is the login-proof rule over the server's clock. Keying the reply
+    with a domain-separated secret, and nothing else, defeats that one
+    attack, while honest logins and the insider password change still
+    behave as before."""
+
+    class DomainSeparatedServer(AuthServer):
+        def verify_login(self, request, received_at, window=DEFAULT_WINDOW):
+            super().verify_login(request, received_at, window)
+            # digest(xor(digest(verifier), encode_timestamp(received_at)))
+            reply_key = digest(self._verifier_for(request.identity))
+            return ServerResponse(proof(reply_key, received_at), received_at)
+
+    @staticmethod
+    def check_domain_separated_reply(session, response, window=DEFAULT_WINDOW):
+        verify_mutual_auth(UserSession(digest(session.secret), session.sent_at),
+                           response, window)
+
+    def test_domain_separated_reply_defeats_only_the_parallel_session(self, monkeypatch):
+        monkeypatch.setattr(harness, "AuthServer", self.DomainSeparatedServer)
+        monkeypatch.setattr(harness, "verify_mutual_auth", self.check_domain_separated_reply)
+        runs = [(seed, window) for seed in range(50) for window in (2, 5, 9)]
+        outcomes = {
+            scenario: Counter(run_scenario(config_for(scenario, seed=seed, window=window)).outcome()
+                              for seed, window in runs)
+            for scenario in ("honest", "parallel-session", "insider-change")}
+        assert outcomes == {
+            "honest": {"accepted": 150},
+            "parallel-session": {"attack-failed": 150},
+            "insider-change": {"attack-succeeded": 150},
+        }
 
 
 class TestReplay:

@@ -7,7 +7,6 @@ existed, then frozen.
 """
 
 import hashlib
-import json
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +25,6 @@ from cardauthsim.scheme import (
     UnknownIdentity,
     UserSession,
     enroll,
-    message_from_wire,
     message_to_wire,
     password_digest,
     proof,
@@ -53,19 +51,6 @@ VISIBLE_ASCII = "".join(chr(c) for c in range(0x21, 0x7F))
 identities = st.text(alphabet=VISIBLE_ASCII, min_size=1, max_size=64)
 passwords = st.text(min_size=1, max_size=64)
 blocks = st.binary(min_size=32, max_size=32).map(Block)
-
-json_scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
-wire_values = (json_scalars | st.sampled_from(["login", "response"])
-               | blocks.map(Block.hex) | blocks.map(lambda b: b.hex().upper())
-               | st.lists(json_scalars, max_size=3))
-# Mostly near-canonical objects, so both outcomes of the inverse get
-# exercised, plus arbitrary JSON objects.
-wire_like_objects = (
-    st.dictionaries(st.sampled_from(["type", "id", "c2", "c3", "t", "x"]), wire_values)
-    | st.builds(message_to_wire, st.builds(LoginRequest, st.text(), blocks, st.integers())
-                | st.builds(ServerResponse, blocks, st.integers()))
-    | st.dictionaries(st.text(), json_scalars))
-
 
 def _sha(data: bytes) -> bytes:
     return hashlib.sha256(data).digest()
@@ -336,55 +321,22 @@ class TestChangePassword:
 
 
 class TestWireFormat:
-    def test_login_request_round_trip(self):
+    def test_login_request_wire_form(self):
         _, card = _fresh_setup()
         request, _ = card.login(IDENT, PASSWORD, 10)
-        obj = message_to_wire(request)
-        assert obj == {"type": "login", "id": IDENT,
-                       "c2": request.authenticator.hex(), "t": 10}
-        assert message_from_wire(obj) == request
+        assert message_to_wire(request) == {"type": "login", "id": IDENT,
+                                            "c2": request.authenticator.hex(), "t": 10}
 
-    def test_response_round_trip(self):
+    def test_response_wire_form(self):
         server, card = _fresh_setup()
         request, _ = card.login(IDENT, PASSWORD, 10)
         response = server.verify_login(request, 11)
-        obj = message_to_wire(response)
-        assert obj == {"type": "response", "c3": response.authenticator.hex(), "t": 11}
-        assert message_from_wire(obj) == response
+        assert message_to_wire(response) == {"type": "response",
+                                             "c3": response.authenticator.hex(), "t": 11}
 
     def test_unknown_type_rejected(self):
-        with pytest.raises(ValueError):
-            message_from_wire({"type": "hello"})
         with pytest.raises(TypeError):
             message_to_wire("not a message")
-
-    def test_non_canonical_forms_rejected(self):
-        _, card = _fresh_setup()
-        request, _ = card.login(IDENT, PASSWORD, 10)
-        canonical = message_to_wire(request)
-        edits = [{"t": True}, {"t": 10.9}, {"t": 10.0}, {"t": "10"}, {"id": 5},
-                 {"c2": canonical["c2"].upper()}, {"c2": canonical["c2"][:-2]},
-                 {"c2": " ".join(canonical["c2"])}, {"c2": None}, {"extra": 1}]
-        for edit in edits:
-            with pytest.raises(ValueError):
-                message_from_wire({**canonical, **edit})
-        for key in canonical:
-            with pytest.raises(ValueError):
-                message_from_wire({k: v for k, v in canonical.items() if k != key})
-        for not_an_object in (None, 5, "login", ["login"]):
-            with pytest.raises(ValueError):
-                message_from_wire(not_an_object)
-
-    @settings(max_examples=500, deadline=None)
-    @given(obj=wire_like_objects)
-    def test_from_wire_is_the_strict_inverse_of_to_wire(self, obj):
-        try:
-            message = message_from_wire(obj)
-        except ValueError:
-            return
-        # compared as JSON text, where `true` and `1.0` differ from `1`
-        assert json.dumps(message_to_wire(message), sort_keys=True) == json.dumps(
-            obj, sort_keys=True)
 
 
 class TestCompleteness:
