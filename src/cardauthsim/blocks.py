@@ -44,7 +44,8 @@ ONES_BLOCK = Block(b"\xff" * BLOCK_LEN)
 
 
 def _hash(data: bytes) -> Block:
-    return Block(hashlib.sha256(data).digest())
+    # SHA-256 output is BLOCK_LEN bytes, so `Block.__new__`'s check is skipped
+    return bytes.__new__(Block, hashlib.sha256(data).digest())
 
 
 def digest(block: bytes) -> Block:
@@ -55,10 +56,11 @@ def digest(block: bytes) -> Block:
 
 
 def xor(a: bytes, b: bytes) -> Block:
-    """Byte-wise XOR of two blocks."""
+    """Byte-wise XOR of two blocks, computed on them as big-endian integers."""
     if len(a) != BLOCK_LEN or len(b) != BLOCK_LEN:
         raise ValueError(f"xor operands must be {BLOCK_LEN}-byte blocks")
-    return Block(bytes(i ^ j for i, j in zip(a, b)))
+    mixed = int.from_bytes(a, "big") ^ int.from_bytes(b, "big")
+    return bytes.__new__(Block, mixed.to_bytes(BLOCK_LEN, "big"))
 
 
 def validate_identity(identity: str) -> str:

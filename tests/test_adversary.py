@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cardauthsim import adversary, scheme
 from cardauthsim.adversary import (
     INSIDER_MODES,
     INSIDER_SUPPLY_DIGEST,
@@ -134,6 +135,28 @@ class TestOfflineGuess:
         off_the_wire = LoginRequest(wire["id"], Block(bytes.fromhex(wire["c2"])), wire["t"])
         found = offline_guess(CardSecrets.from_card(card), off_the_wire, Wordlist([PASSWORD]))
         assert found is not None
+
+    def test_each_probe_makes_three_hashes_and_three_xors(self, monkeypatch):
+        # the attack's floor per candidate: 3 hashes (encode the password,
+        # hash it salted, hash the proof) and 3 XORs (salt, unmask, stamp)
+        _, card = _setup()
+        request, _ = card.login(IDENT, PASSWORD, 10)
+        wl = _wordlist_around(PASSWORD, 50, random.Random(7), include=False)
+        calls = {"hash": 0, "xor": 0}
+
+        def counted(kind, fn):
+            def wrapper(*args):
+                calls[kind] += 1
+                return fn(*args)
+            return wrapper
+
+        for module in (adversary, scheme):
+            monkeypatch.setattr(module, "xor", counted("xor", module.xor))
+            monkeypatch.setattr(module, "digest", counted("hash", module.digest))
+        monkeypatch.setattr(scheme, "encode_password",
+                            counted("hash", scheme.encode_password))
+        assert offline_guess(CardSecrets.from_card(card), request, wl) is None
+        assert calls == {"hash": 150, "xor": 150}
 
 
 class TestOutsiderChangePassword:

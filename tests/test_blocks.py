@@ -31,6 +31,9 @@ F_ZERO = "66687aadf862bd776c8fc18b8e9f8e20089714856ee233b3902a591d0d5f2925"
 F_ONES = "af9613760f72635fbdb44a5a0a63c39f12af30f950a6ee5c971be188e89c4051"
 
 blocks = st.binary(min_size=BLOCK_LEN, max_size=BLOCK_LEN).map(Block)
+# every operand type the scheme hands to the primitives, in any mix
+block_likes = st.binary(min_size=BLOCK_LEN, max_size=BLOCK_LEN).flatmap(
+    lambda raw: st.sampled_from((raw, bytearray(raw), Block(raw))))
 
 
 def _sha(data: bytes) -> bytes:
@@ -75,11 +78,16 @@ class TestDigest:
         assert GOLDEN_DIGESTS["ones-block"] == digest(ONES_BLOCK).hex()
 
     def test_rejects_non_block_input(self):
-        with pytest.raises(ValueError):
-            digest(b"short")
+        for bad in (b"short", bytes(31), bytes(33)):
+            with pytest.raises(ValueError):
+                digest(bad)
+        # a str of the right length is no block
+        with pytest.raises(TypeError):
+            digest("x" * BLOCK_LEN)
 
     def test_output_is_a_block(self):
-        assert isinstance(digest(ZERO_BLOCK), Block)
+        # exact type: results skip `Block.__new__`, so isinstance alone is too weak
+        assert type(digest(ZERO_BLOCK)) is Block
         assert len(digest(ZERO_BLOCK)) == BLOCK_LEN
 
 
@@ -93,10 +101,23 @@ class TestXor:
         assert xor(block, ZERO_BLOCK) == block
 
     def test_rejects_wrong_lengths(self):
-        with pytest.raises(ValueError):
-            xor(b"short", ZERO_BLOCK)
-        with pytest.raises(ValueError):
-            xor(ZERO_BLOCK, bytes(33))
+        for bad in (b"short", bytes(31), bytes(33)):
+            with pytest.raises(ValueError):
+                xor(bad, ZERO_BLOCK)
+            with pytest.raises(ValueError):
+                xor(ZERO_BLOCK, bad)
+        # a str of the right length is no block, on either side
+        with pytest.raises(TypeError):
+            xor("x" * BLOCK_LEN, ZERO_BLOCK)
+        with pytest.raises(TypeError):
+            xor(ZERO_BLOCK, "x" * BLOCK_LEN)
+
+    @settings(max_examples=500, deadline=None)
+    @given(a=block_likes, b=block_likes)
+    def test_matches_bytewise_oracle(self, a, b):
+        result = xor(a, b)
+        assert result == bytes(x ^ y for x, y in zip(a, b))
+        assert type(result) is Block
 
     @settings(max_examples=1000, deadline=None)
     @given(a=blocks, b=blocks)
@@ -153,6 +174,12 @@ class TestEncode:
         assert encode_password("pw1") == _sha(b"P" + b"pw1")
         assert encode_identity("pw1") == _sha(b"I" + b"pw1")
         assert encode_password("pw1") != encode_identity("pw1")
+
+    def test_outputs_are_exactly_blocks(self):
+        for encoded in (encode_identity("alice"), encode_password("pw1"),
+                        encode_timestamp(10), encode_registered_identity("alice", 0)):
+            assert type(encoded) is Block
+            assert len(encoded) == BLOCK_LEN
 
     def test_timestamp_oracle(self):
         assert encode_timestamp(10) == _sha(b"T" + (10).to_bytes(8, "big"))
