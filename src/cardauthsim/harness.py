@@ -1,8 +1,8 @@
 """Deterministic scenario runner.
 
 One scenario is a scripted timeline over a logical clock: honest parties
-exchange wire messages through a single channel the intruder can tap,
-and every send, delivery, interception, drop, verdict and state change
+exchange wire messages, one whole trip each, over a wire the intruder can
+tap, and every send, delivery, interception, drop, verdict and state change
 lands in an ordered transcript. The transcript is a pure function of the
 scenario config, so runs can be diffed byte for byte and replayed.
 
@@ -15,7 +15,6 @@ window of at least 2 ticks.
 import json
 import random
 import string
-from collections import deque
 from dataclasses import dataclass, field
 from itertools import zip_longest
 from pathlib import Path
@@ -210,48 +209,6 @@ class Transcript:
         return transcript
 
 
-class Channel:
-    """Single insecure pipe between the parties. The intruder sits on it:
-    it may copy the oldest in-flight message or remove it entirely.
-    Whatever is sent is eventually delivered or explicitly dropped."""
-
-    def __init__(self, transcript: Transcript):
-        self._transcript = transcript
-        self._pending: deque[tuple[int, object]] = deque()
-        self._next_id = 1
-
-    def _log(self, actor: str, kind: str, msg_id: int, message) -> None:
-        self._transcript.record(actor, kind,
-                                {"msg_id": msg_id, "message": message_to_wire(message)})
-
-    def send(self, sender: str, message) -> None:
-        msg_id = self._next_id
-        self._next_id += 1
-        self._pending.append((msg_id, message))
-        self._log(sender, "send", msg_id, message)
-
-    def _take_oldest(self, actor: str, kind: str, remove: bool, hop: bool = False):
-        if not self._pending:
-            raise LookupError(f"nothing in flight to {kind}")
-        if hop:
-            self._transcript.step()
-        msg_id, message = self._pending.popleft() if remove else self._pending[0]
-        self._log(actor, kind, msg_id, message)
-        return message
-
-    def intercept(self):
-        """Intruder copies the oldest in-flight message without removing it."""
-        return self._take_oldest("intruder", "intercept", remove=False)
-
-    def deliver(self, receiver: str):
-        """Hand the oldest in-flight message to `receiver`; the hop takes one tick."""
-        return self._take_oldest(receiver, "deliver", remove=True, hop=True)
-
-    def drop(self):
-        """Intruder removes the oldest in-flight message for good."""
-        return self._take_oldest("intruder", "drop", remove=True)
-
-
 def _random_password(rng: random.Random) -> str:
     return "".join(_PASSWORD_ALPHABET[b % len(_PASSWORD_ALPHABET)]
                    for b in rng.randbytes(_PASSWORD_LEN))
@@ -269,7 +226,7 @@ class _Run:
         self.config = config
         self.rng = random.Random(config.seed)
         self.transcript = Transcript(config)
-        self.channel = Channel(self.transcript)
+        self.sent = 0
         self.server = AuthServer(Block(self.rng.randbytes(BLOCK_LEN)))
         self.salt = Block(self.rng.randbytes(BLOCK_LEN))
         self.wordlist: Optional[Wordlist] = None
@@ -285,6 +242,24 @@ class _Run:
             self.victim_password = _random_password(self.rng)
 
     # -- event helpers -------------------------------------------------
+
+    def transmit(self, sender: str, message, receiver: Optional[str] = None,
+                 tap: bool = False) -> None:
+        """One whole trip of `message` over the wire: `sender` sends it,
+        the intruder copies it when `tap`, and it is delivered to
+        `receiver` one tick later or, with no receiver, dropped by the
+        intruder. Sends, taps and drops take no time, and the intruder
+        never alters a message, so the receiver acts on `message` itself."""
+        self.sent += 1
+        payload = {"msg_id": self.sent, "message": message_to_wire(message)}
+        self.transcript.record(sender, "send", payload)
+        if tap:
+            self.transcript.record("intruder", "intercept", payload)
+        if receiver is None:
+            self.transcript.record("intruder", "drop", payload)
+        else:
+            self.transcript.step()
+            self.transcript.record(receiver, "deliver", payload)
 
     def note(self, actor: str, action: str, **detail) -> None:
         self.transcript.record(actor, "state-change", {"action": action, **detail})
@@ -336,25 +311,20 @@ class _Run:
         """
         sender, receiver = ("intruder", "intruder") if by_intruder else ("card", "user")
         request, session = card.login(VICTIM_ID, password, self.transcript.now)
-        self.channel.send(sender, request)
-        if tap_request:
-            self.channel.intercept()
-        delivered = self.channel.deliver("server")
-        response = self.server_verify(delivered)
+        self.transmit(sender, request, "server", tap=tap_request)
+        response = self.server_verify(request)
         if response is None:
             return request, None, False
-        self.channel.send("server", response)
-        if tap_response:
-            self.channel.intercept()
-        arrived = self.channel.deliver(receiver)
+        self.transmit("server", response, receiver, tap=tap_response)
         accepted, _ = self.run_check(receiver, "mutual-auth", lambda: verify_mutual_auth(
-            session, arrived, self.config.window))
+            session, response, self.config.window))
         return request, response, accepted
 
-    def steal_password(self) -> tuple[SmartCard, Optional[str]]:
+    def steal_password(self) -> tuple[SmartCard, str]:
         """Register the victim, tap their login, extract the card secrets
         and scan the wordlist offline. Returns the card and the recovered
-        password, or None when no candidate matched."""
+        password: the victim's password is drawn from the wordlist and
+        distinct words give distinct proofs, so the scan always finds it."""
         card = self.register_victim()
         self.transcript.step(10)
         request, _, _ = self.login_roundtrip(card, self.victim_password, tap_request=True)
@@ -363,13 +333,9 @@ class _Run:
                   verifier=secrets.verifier.hex(),
                   masked_verifier=secrets.masked_verifier.hex(),
                   salt=secrets.salt.hex())
-        found = offline_guess(secrets, request, self.wordlist)
-        password = None if found is None else found[0]
-        size = len(self.wordlist)
-        self.note("intruder", "offline-guess",
-                  result="not-found" if password is None else "found", password=password,
-                  probes=size if password is None else self.wordlist.index(password) + 1,
-                  wordlist_size=size)
+        password, _ = offline_guess(secrets, request, self.wordlist)
+        self.note("intruder", "offline-guess", result="found", password=password,
+                  probes=self.wordlist.index(password) + 1, wordlist_size=len(self.wordlist))
         return card, password
 
     def hijack(self, card: SmartCard, change: Callable[[], None], **detail) -> Transcript:
@@ -401,8 +367,6 @@ def _scenario_offline_guess(run: _Run) -> Transcript:
 
 def _scenario_outsider_change(run: _Run) -> Transcript:
     card, password = run.steal_password()
-    if password is None:
-        return run.attack_verdict(False)
     run.transcript.step()
     return run.hijack(card, lambda: outsider_change_password(card, password, ATTACKER_PASSWORD))
 
@@ -426,12 +390,10 @@ def _scenario_parallel_session(run: _Run) -> Transcript:
     request, response, _ = run.login_roundtrip(card, run.victim_password,
                                                tap_request=True, tap_response=True)
     forged = forge_parallel_login(request, response)
-    run.channel.send("intruder", forged)
-    delivered = run.channel.deliver("server")
-    second = run.server_verify(delivered)
+    run.transmit("intruder", forged, "server")
+    second = run.server_verify(forged)
     if second is not None:
-        run.channel.send("server", second)
-        run.channel.drop()
+        run.transmit("server", second)
     return run.attack_verdict(second is not None)
 
 

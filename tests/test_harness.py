@@ -1,4 +1,4 @@
-"""Scenario runner: clock, channel, transcripts, determinism, replay."""
+"""Scenario runner: clock, message trips, transcripts, determinism, replay."""
 
 import hashlib
 import json
@@ -11,11 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cardauthsim import harness
-from cardauthsim.blocks import Block, digest
+from cardauthsim.blocks import digest
 from cardauthsim.harness import (
     SCENARIOS,
     WORDLIST_SCENARIOS,
-    Channel,
     InvalidConfig,
     MissingDictionary,
     ReplayMismatch,
@@ -31,7 +30,6 @@ from cardauthsim.scheme import (
     AuthServer,
     ServerResponse,
     UserSession,
-    enroll,
     proof,
     verify_mutual_auth,
 )
@@ -53,16 +51,32 @@ def config_for(scenario, **kwargs):
 
 
 def assert_channel_conserved(transcript):
-    """Every sent message is delivered or dropped exactly once."""
-    sent, ended = {}, {}
+    """Every sent message makes one whole trip and ends exactly once.
+
+    A trip is consecutive events that all carry the send's payload: the
+    send, an optional intercept by the intruder, then a delivery one tick
+    after the send or a drop by the intruder. Sends, intercepts and drops
+    share the send's tick, and msg_ids run 1, 2, ... in send order.
+    Returns the trips, each a list of events.
+    """
+    trips = []
     for event in transcript.events:
-        if event.kind in ("send", "deliver", "drop"):
-            msg_id = event.payload["msg_id"]
-            bucket = sent if event.kind == "send" else ended
-            bucket[msg_id] = bucket.get(msg_id, 0) + 1
-    assert all(count == 1 for count in sent.values())
-    assert set(sent) == set(ended)
-    assert all(count == 1 for count in ended.values())
+        if event.kind == "send":
+            trips.append([event])
+        elif event.kind in ("intercept", "deliver", "drop"):
+            assert trips, f"{event.kind} at seq {event.seq} before any send"
+            trips[-1].append(event)
+    for msg_id, trip in enumerate(trips, 1):
+        assert len(trip) > 1, f"message {msg_id} is neither delivered nor dropped"
+        send, *taps, end = trip
+        assert [e.seq for e in trip] == list(range(send.seq, send.seq + len(trip)))
+        assert send.payload["msg_id"] == msg_id
+        assert all(e.payload == send.payload for e in trip)
+        assert [(e.actor, e.kind, e.time) for e in taps] in (
+            [], [("intruder", "intercept", send.time)])
+        assert (end.kind, end.time) == ("deliver", send.time + 1) or (
+            (end.actor, end.kind, end.time) == ("intruder", "drop", send.time))
+    return trips
 
 
 class TestClock:
@@ -133,89 +147,6 @@ class TestTranscript:
             Transcript.from_jsonl("\n".join(lines) + "\n")
 
 
-class TestChannel:
-    def _fresh(self):
-        transcript = Transcript(config_for("honest"))
-        return Channel(transcript), transcript
-
-    def test_send_then_deliver_in_order(self):
-        from cardauthsim.scheme import LoginRequest
-        from cardauthsim.blocks import Block
-        channel, transcript = self._fresh()
-        first = LoginRequest("alice", Block(bytes(32)), 1)
-        second = LoginRequest("alice", Block(b"\x01" * 32), 2)
-        channel.send("card", first)
-        channel.send("card", second)
-        assert channel.deliver("server") == first
-        assert channel.deliver("server") == second
-        assert [e.kind for e in transcript.events] == ["send", "send", "deliver", "deliver"]
-        # each delivery is a hop of one tick; sends take no time
-        assert [e.time for e in transcript.events] == [0, 0, 1, 2]
-
-    def test_intercept_copies_without_removing(self):
-        from cardauthsim.scheme import LoginRequest
-        from cardauthsim.blocks import Block
-        channel, transcript = self._fresh()
-        message = LoginRequest("alice", Block(bytes(32)), 1)
-        channel.send("card", message)
-        assert channel.intercept() == message
-        assert channel.deliver("server") == message
-
-    def test_empty_channel_operations_fail(self):
-        channel, _ = self._fresh()
-        for op in (channel.intercept, channel.drop):
-            with pytest.raises(LookupError):
-                op()
-        with pytest.raises(LookupError):
-            channel.deliver("server")
-
-    def _enrolled(self):
-        server = AuthServer(Block(bytes(range(32))))
-        card = enroll(server, "alice", "correct-horse", Block(bytes(range(32, 64))))
-        return server, card
-
-    def test_dropped_message_never_arrives(self):
-        channel, transcript = self._fresh()
-        server, card = self._enrolled()
-        request, _ = card.login("alice", "correct-horse", 10)
-        response = server.verify_login(request, 11)
-        channel.send("server", response)
-        assert channel.drop() == response
-        with pytest.raises(LookupError):
-            channel.deliver("user")
-        assert [e.kind for e in transcript.events] == ["send", "drop"]
-
-    def test_unrelated_exchange_unaffected(self):
-        channel, _ = self._fresh()
-        server, card = self._enrolled()
-        first, _ = card.login("alice", "correct-horse", 10)
-        channel.send("card", first)
-        channel.drop()
-        second, _ = card.login("alice", "correct-horse", 12)
-        channel.send("card", second)
-        delivered = channel.deliver("server")
-        assert delivered == second
-        assert server.verify_login(delivered, 13)
-
-    def test_two_drops_logged_in_order(self):
-        channel, transcript = self._fresh()
-        _, card = self._enrolled()
-        first, _ = card.login("alice", "correct-horse", 10)
-        second, _ = card.login("alice", "correct-horse", 11)
-        channel.send("card", first)
-        channel.send("card", second)
-        assert channel.drop() == first
-        assert channel.drop() == second
-        drops = [e for e in transcript.events if e.kind == "drop"]
-        assert [d.payload["msg_id"] for d in drops] == [1, 2]
-
-    def test_drop_on_idle_channel_fails(self):
-        channel, transcript = self._fresh()
-        with pytest.raises(LookupError):
-            channel.drop()
-        assert transcript.events == []
-
-
 class TestScenarios:
     def test_expected_outcomes(self):
         expected = {
@@ -246,9 +177,17 @@ class TestScenarios:
             assert len(transcript.events) < 100, scenario
 
     def test_channel_conservation_everywhere(self):
+        shapes = set()
         for scenario in SCENARIOS:
             for seed in (0, 42):
-                assert_channel_conserved(run_scenario(config_for(scenario, seed=seed)))
+                # window 1 makes the forged login stale, so no reply is sent
+                for window in (1, 2, 5, 9):
+                    transcript = run_scenario(config_for(scenario, seed=seed, window=window))
+                    shapes.update(tuple(e.kind for e in trip)
+                                  for trip in assert_channel_conserved(transcript))
+        # every trip shape the scenarios use was checked
+        assert shapes == {("send", "deliver"), ("send", "intercept", "deliver"),
+                               ("send", "drop")}
 
     def test_same_config_gives_identical_bytes(self):
         for scenario in SCENARIOS:
