@@ -13,9 +13,8 @@ a valid login proof.
 
 import os
 import stat
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .blocks import Block, digest, encode_timestamp, validate_password, xor
 from .scheme import (
@@ -32,8 +31,7 @@ INSIDER_SUPPLY_DIGEST = "supply-password-digest"
 INSIDER_MODES = (INSIDER_SUPPLY_VERIFIER, INSIDER_SUPPLY_DIGEST)
 
 
-@dataclass(frozen=True)
-class CardSecrets:
+class CardSecrets(NamedTuple):
     """Byte-exact copy of a card's contents, as read out by a physical
     extraction the card is assumed not to resist."""
 
@@ -46,8 +44,7 @@ class CardSecrets:
         return cls(card.verifier, card.masked_verifier, card.salt)
 
 
-@dataclass(frozen=True)
-class RegistrationRecord:
+class RegistrationRecord(NamedTuple):
     """What an insider at the server learns when a user registers: the
     submitted password digest and both issued card secrets."""
 

@@ -14,11 +14,9 @@ window of at least 2 ticks.
 
 import json
 import random
-import string
-from dataclasses import dataclass, field
 from itertools import zip_longest
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .adversary import (
     INSIDER_SUPPLY_VERIFIER,
@@ -50,7 +48,7 @@ ATTACKER_PASSWORD = "hijacked-by-mallory"
 ACTORS = ("user", "card", "server", "intruder", "harness")
 EVENT_KINDS = ("send", "intercept", "drop", "deliver", "verdict", "state-change")
 
-_PASSWORD_ALPHABET = string.ascii_lowercase + string.digits
+_PASSWORD_ALPHABET = "abcdefghijklmnopqrstuvwxyz0123456789"
 _PASSWORD_LEN = 10
 
 
@@ -97,33 +95,43 @@ def _fields(obj, keys: tuple[str, ...], what: str) -> list:
     return [obj[key] for key in keys]
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
+class _ConfigFields(NamedTuple):
+    scenario: str
+    seed: int
+    window: int
+    dictionary_path: Optional[str]
+
+
+class ScenarioConfig(_ConfigFields):
     """Everything a scenario run depends on; equal configs give
     byte-identical transcripts. Construction raises InvalidConfig, or
     MissingDictionary for a guessing scenario without a dictionary."""
 
-    scenario: str
-    seed: int = 0
-    window: int = DEFAULT_WINDOW
-    dictionary_path: Optional[str] = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.scenario, str) or self.scenario not in SCENARIOS:
-            raise InvalidConfig(f"unknown scenario {self.scenario!r}, "
+    def __new__(cls, scenario: str, seed: int = 0, window: int = DEFAULT_WINDOW,
+                dictionary_path: Optional[str] = None) -> "ScenarioConfig":
+        if not isinstance(scenario, str) or scenario not in SCENARIOS:
+            raise InvalidConfig(f"unknown scenario {scenario!r}, "
                                 f"expected one of {sorted(SCENARIOS)}")
         # type() rather than isinstance(): a bool is an int subclass; and
         # random.Random seeds by absolute value, so -n would replay seed n
-        if type(self.seed) is not int or self.seed < 0:
+        if type(seed) is not int or seed < 0:
             raise InvalidConfig("seed must be a non-negative integer")
-        if type(self.window) is not int or self.window < 1:
+        if type(window) is not int or window < 1:
             raise InvalidConfig("window must be a positive tick count")
-        if self.dictionary_path is not None and not isinstance(self.dictionary_path, str):
+        if dictionary_path is not None and not isinstance(dictionary_path, str):
             raise InvalidConfig("dictionary must be a path string or null")
-        if self.scenario in WORDLIST_SCENARIOS and self.dictionary_path is None:
-            raise MissingDictionary(f"scenario {self.scenario!r} needs a dictionary")
-        if self.scenario not in WORDLIST_SCENARIOS and self.dictionary_path is not None:
-            raise InvalidConfig(f"scenario {self.scenario!r} takes no dictionary")
+        if scenario in WORDLIST_SCENARIOS and dictionary_path is None:
+            raise MissingDictionary(f"scenario {scenario!r} needs a dictionary")
+        if scenario not in WORDLIST_SCENARIOS and dictionary_path is not None:
+            raise InvalidConfig(f"scenario {scenario!r} takes no dictionary")
+        return super().__new__(cls, scenario, seed, window, dictionary_path)
+
+    @classmethod
+    def _make(cls, iterable) -> "ScenarioConfig":
+        # the namedtuple `_make`, and so `_replace`, would skip the checks
+        return cls(*iterable)
 
     def to_obj(self) -> dict:
         return {"scenario": self.scenario, "seed": self.seed,
@@ -134,8 +142,7 @@ class ScenarioConfig:
         return cls(*_fields(obj, ("scenario", "seed", "window", "dictionary"), "config"))
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     seq: int
     time: int
     actor: str
@@ -151,14 +158,14 @@ class Event:
         return cls(*_fields(obj, ("seq", "time", "actor", "kind", "payload"), "event"))
 
 
-@dataclass
 class Transcript:
     """Ordered event log of one scenario run, with its config embedded.
     `now` is the run's logical clock from tick 0; it stamps every event."""
 
-    config: ScenarioConfig
-    events: list[Event] = field(default_factory=list)
-    now: int = field(default=0, init=False, compare=False)
+    def __init__(self, config: ScenarioConfig, events: Optional[list[Event]] = None):
+        self.config = config
+        self.events: list[Event] = [] if events is None else events
+        self.now = 0
 
     def step(self, ticks: int = 1) -> None:
         if ticks < 1:
@@ -176,8 +183,8 @@ class Transcript:
 
     def outcome(self) -> str:
         """Outcome of the scenario verdict that ends the transcript."""
-        last = self.events[-1]
-        if last.kind != "verdict" or last.payload.get("check") != "scenario":
+        last = self.events[-1] if self.events else None
+        if last is None or last.kind != "verdict" or last.payload.get("check") != "scenario":
             raise ValueError("transcript does not end in a scenario verdict")
         return last.payload["outcome"]
 

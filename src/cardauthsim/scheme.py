@@ -16,7 +16,7 @@ the attacks in `adversary` exploit.
 """
 
 import hmac
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .blocks import (
     TIMESTAMP_LIMIT,
@@ -55,8 +55,7 @@ class PasswordChangeRejected(ProtocolRejection):
     reason = "wrong-old-password"
 
 
-@dataclass(frozen=True)
-class LoginRequest:
+class LoginRequest(NamedTuple):
     """Wire message from card to server: (identity, proof, reader clock)."""
 
     identity: str
@@ -64,16 +63,14 @@ class LoginRequest:
     timestamp: int
 
 
-@dataclass(frozen=True)
-class ServerResponse:
+class ServerResponse(NamedTuple):
     """Wire message from server to user: (proof, server clock)."""
 
     authenticator: Block
     timestamp: int
 
 
-@dataclass(frozen=True)
-class UserSession:
+class UserSession(NamedTuple):
     """What the user side retains between sending a login and checking the reply."""
 
     secret: Block
@@ -97,14 +94,14 @@ def proof(secret: Block, ticks: int) -> Block:
     return digest(xor(secret, encode_timestamp(ticks)))
 
 
-@dataclass
 class SmartCard:
     """Issued card state: the verifier, the verifier masked by the
     password digest, and the salt the user keyed in at registration."""
 
-    verifier: Block
-    masked_verifier: Block
-    salt: Block
+    def __init__(self, verifier: Block, masked_verifier: Block, salt: Block):
+        self.verifier = verifier
+        self.masked_verifier = masked_verifier
+        self.salt = salt
 
     def login(self, identity: str, password: str, timestamp: int) -> tuple[LoginRequest, UserSession]:
         """Build a login request for the keyed identity and password.

@@ -1,6 +1,8 @@
 """Command-line behaviour: exit codes, output streams, file round trips."""
 
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,6 +11,7 @@ from cardauthsim.blocks import GOLDEN_DIGESTS
 from cardauthsim.cli import main
 
 DICT_PATH = str(Path(__file__).parent.parent / "data" / "dictionary.txt")
+SRC = str(Path(__file__).parent.parent / "src")
 
 
 class TestDemo:
@@ -169,3 +172,14 @@ class TestUsage:
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
+
+
+class TestStartup:
+    def test_cli_import_leaves_out_unneeded_stdlib_modules(self):
+        # every `cardauthsim` process pays its imports; these three cost
+        # milliseconds and nothing in the program needs them
+        script = ("import sys; sys.path.insert(0, sys.argv[1]); import cardauthsim.cli; "
+                  "print(sorted({'dataclasses', 'inspect', 'string'} & set(sys.modules)))")
+        result = subprocess.run([sys.executable, "-S", "-c", script, SRC],
+                                capture_output=True, text=True, check=True)
+        assert result.stdout == "[]\n"

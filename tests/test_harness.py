@@ -139,6 +139,11 @@ class TestTranscript:
         with pytest.raises(TranscriptParseError, match="line 1"):
             Transcript.from_jsonl("1" * 5000 + "\n")
 
+    def test_outcome_of_header_only_transcript_is_value_error(self):
+        header = run_scenario(config_for("honest")).to_jsonl().split("\n")[0]
+        with pytest.raises(ValueError, match="does not end in a scenario verdict"):
+            Transcript.from_jsonl(header + "\n").outcome()
+
     def test_from_jsonl_rejects_reordered_events(self):
         text = run_scenario(config_for("honest", seed=3)).to_jsonl()
         lines = text.strip().split("\n")

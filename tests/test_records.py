@@ -1,0 +1,67 @@
+"""Value records: the wire messages, card and config records are
+immutable, the config keeps its defaults, and the two mutable objects
+(the card and the transcript) keep their state per instance."""
+
+import pytest
+
+from cardauthsim.adversary import CardSecrets, RegistrationRecord
+from cardauthsim.blocks import ONES_BLOCK, ZERO_BLOCK, Block, xor
+from cardauthsim.harness import Event, InvalidConfig, ScenarioConfig, Transcript
+from cardauthsim.scheme import (
+    DEFAULT_WINDOW,
+    AuthServer,
+    LoginRequest,
+    ServerResponse,
+    UserSession,
+    enroll,
+    password_digest,
+)
+
+SALT = Block(bytes(range(32)))
+
+FROZEN = [
+    LoginRequest("alice", ZERO_BLOCK, 10),
+    ServerResponse(ONES_BLOCK, 11),
+    UserSession(ZERO_BLOCK, 10),
+    CardSecrets(ZERO_BLOCK, ONES_BLOCK, SALT),
+    RegistrationRecord(ZERO_BLOCK, ONES_BLOCK, SALT),
+    Event(0, 0, "server", "state-change", {"action": "x"}),
+    ScenarioConfig("honest"),
+]
+
+
+@pytest.mark.parametrize("record", FROZEN, ids=lambda record: type(record).__name__)
+def test_frozen_records_reject_attribute_assignment(record):
+    first = type(record)._fields[0]
+    with pytest.raises(AttributeError):
+        setattr(record, first, getattr(record, first))
+    with pytest.raises(AttributeError):
+        record.extra = 1
+
+
+def test_config_defaults_and_keyword_construction():
+    assert ScenarioConfig("honest") == ScenarioConfig("honest", 0, DEFAULT_WINDOW, None)
+    config = ScenarioConfig(scenario="parallel-session", window=3, seed=9)
+    assert (config.scenario, config.seed, config.window, config.dictionary_path) == (
+        "parallel-session", 9, 3, None)
+    assert ScenarioConfig.from_obj(config.to_obj()) == config
+
+
+def test_config_replace_runs_the_checks():
+    with pytest.raises(InvalidConfig, match="seed"):
+        ScenarioConfig("honest")._replace(seed=-1)
+
+
+def test_transcripts_do_not_share_their_events():
+    first, second = Transcript(ScenarioConfig("honest")), Transcript(ScenarioConfig("honest"))
+    first.record("server", "state-change", {"action": "x"})
+    assert (len(first.events), len(second.events)) == (1, 0)
+    assert (first.now, second.now) == (0, 0)
+
+
+def test_change_password_mutates_the_card_in_place():
+    card = enroll(AuthServer(ZERO_BLOCK), "alice", "old-password", SALT)
+    before = card.masked_verifier
+    card.change_password("old-password", "new-password")
+    assert card.masked_verifier != before
+    assert card.masked_verifier == xor(card.verifier, password_digest("new-password", SALT))
