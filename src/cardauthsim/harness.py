@@ -91,7 +91,7 @@ def _jsonl_lines(text: str) -> list[str]:
 def _fields(obj, keys: tuple[str, ...], what: str) -> list:
     """The values of a JSON object that has exactly `keys`, in key order."""
     if not isinstance(obj, dict) or set(obj) != set(keys):
-        raise TranscriptParseError(f"{what} line is not an object with keys {', '.join(keys)}")
+        raise TranscriptParseError(f"{what} is not an object with keys {', '.join(keys)}")
     return [obj[key] for key in keys]
 
 
@@ -139,7 +139,7 @@ class ScenarioConfig(_ConfigFields):
 
     @classmethod
     def from_obj(cls, obj) -> "ScenarioConfig":
-        return cls(*_fields(obj, ("scenario", "seed", "window", "dictionary"), "config"))
+        return cls(*_fields(obj, ("scenario", "seed", "window", "dictionary"), "config line"))
 
 
 class Event(NamedTuple):
@@ -149,22 +149,14 @@ class Event(NamedTuple):
     kind: str
     payload: dict
 
-    def to_obj(self) -> dict:
-        return {"seq": self.seq, "time": self.time, "actor": self.actor,
-                "kind": self.kind, "payload": self.payload}
-
-    @classmethod
-    def from_obj(cls, obj) -> "Event":
-        return cls(*_fields(obj, ("seq", "time", "actor", "kind", "payload"), "event"))
-
 
 class Transcript:
     """Ordered event log of one scenario run, with its config embedded.
     `now` is the run's logical clock from tick 0; it stamps every event."""
 
-    def __init__(self, config: ScenarioConfig, events: Optional[list[Event]] = None):
+    def __init__(self, config: ScenarioConfig):
         self.config = config
-        self.events: list[Event] = [] if events is None else events
+        self.events: list[Event] = []
         self.now = 0
 
     def step(self, ticks: int = 1) -> None:
@@ -173,10 +165,6 @@ class Transcript:
         self.now += ticks
 
     def record(self, actor: str, kind: str, payload: dict) -> Event:
-        if actor not in ACTORS:
-            raise ValueError(f"unknown actor {actor!r}")
-        if kind not in EVENT_KINDS:
-            raise ValueError(f"unknown event kind {kind!r}")
         event = Event(len(self.events), self.now, actor, kind, payload)
         self.events.append(event)
         return event
@@ -184,13 +172,14 @@ class Transcript:
     def outcome(self) -> str:
         """Outcome of the scenario verdict that ends the transcript."""
         last = self.events[-1] if self.events else None
-        if last is None or last.kind != "verdict" or last.payload.get("check") != "scenario":
+        if (last is None or last.kind != "verdict" or last.payload.get("check") != "scenario"
+                or not isinstance(last.payload.get("outcome"), str)):
             raise ValueError("transcript does not end in a scenario verdict")
         return last.payload["outcome"]
 
     def to_jsonl(self) -> str:
         lines = [_dumps(self.config.to_obj())]
-        lines.extend(_dumps(event.to_obj()) for event in self.events)
+        lines.extend(_dumps(event._asdict()) for event in self.events)
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -207,11 +196,16 @@ class Transcript:
                 detail = exc.msg if isinstance(exc, json.JSONDecodeError) else exc
                 raise TranscriptParseError(f"bad JSON on line {number}: {detail}") from None
         transcript = cls(ScenarioConfig.from_obj(objs[0]))
-        for position, obj in enumerate(objs[1:]):
-            event = Event.from_obj(obj)
-            if event.seq != position:
+        # the only check of an event line: a run's own transcripts meet it on replay
+        for number, obj in enumerate(objs[1:], 2):
+            event = Event(*_fields(obj, Event._fields, f"event line {number}"))
+            due = len(transcript.events)
+            if not (type(event.seq) is int and event.seq == due and type(event.time) is int
+                    and event.actor in ACTORS and event.kind in EVENT_KINDS
+                    and isinstance(event.payload, dict)):
                 raise TranscriptParseError(
-                    f"event at position {position} carries seq {event.seq}")
+                    f"event line {number} needs seq {due}, an integer time, a known actor "
+                    "and kind, and an object payload")
             transcript.events.append(event)
         return transcript
 

@@ -26,7 +26,6 @@ from .blocks import (
     encode_registered_identity,
     encode_timestamp,
     validate_identity,
-    validate_password,
     xor,
 )
 
@@ -121,13 +120,13 @@ class SmartCard:
         used at issue time (or the last accepted change) reproduces the
         stored verifier.
         """
-        validate_password(new_password)
         self.remask(password_digest(old_password, self.salt), new_password)
 
     def remask(self, old_digest: Block, new_password: str) -> None:
         """The change phase after the reader has hashed the old password:
         re-mask the verifier under the new password if `old_digest`
-        unmasks it. The card cannot tell who produced the digest."""
+        unmasks it. The card cannot tell who produced the digest. An
+        invalid new password raises ValueError before the card changes."""
         candidate = xor(self.masked_verifier, old_digest)
         if not hmac.compare_digest(candidate, self.verifier):
             raise PasswordChangeRejected("old password does not unmask the verifier")

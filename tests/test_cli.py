@@ -141,11 +141,20 @@ class TestReplayCommand:
     def test_garbage_file_is_error(self, tmp_path, capsys):
         header = ('{"dictionary":null,"scenario":"parallel-session","seed":42,'
                   '"window":5}\n').encode()
+        # one bad field in the event after a valid event 0 of the same run
+        event0 = (b'{"actor":"server","kind":"state-change","payload":{"action":'
+                  b'"account-registered","counter":0,"id":"alice"},"seq":0,"time":0}\n')
+        event1 = {"actor": "card", "kind": "state-change",
+                  "payload": {"action": "card-issued", "id": "alice"}, "seq": 1, "time": 0}
+        bad_events = [header + event0 + json.dumps({**event1, field: value}).encode() + b"\n"
+                      for field, value in (("seq", True), ("seq", 1.0), ("time", "x"),
+                                           ("actor", 7), ("actor", "eve"), ("kind", None),
+                                           ("payload", 3), ("payload", []))]
         for data in (b"garbage\n", b"5\n", b"null\n", b'"text"\n',
                      b'{"dictionary":null,"scenario":["x"],"seed":0,"window":5}\n',
                      b'{"dictionary":5,"scenario":"honest","seed":0,"window":5}\n',
                      b'{"dictionary":null,"scenario":"honest","seed":-1,"window":5}\n',
-                     header + b"7\n", header + b"\xff\xfe\n"):
+                     header + b"7\n", header + b"\xff\xfe\n", *bad_events):
             bad = tmp_path / "bad.jsonl"
             bad.write_bytes(data)
             code = main(["replay", str(bad)])

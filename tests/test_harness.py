@@ -103,13 +103,6 @@ class TestTranscript:
             event = transcript.record("server", "state-change", {"action": "x"})
             assert event.seq == i
 
-    def test_rejects_unknown_actor_and_kind(self):
-        transcript = Transcript(config_for("honest"))
-        with pytest.raises(ValueError):
-            transcript.record("eve", "send", {})
-        with pytest.raises(ValueError):
-            transcript.record("user", "teleport", {})
-
     def test_jsonl_round_trip(self):
         transcript = run_scenario(config_for("honest", seed=3))
         text = transcript.to_jsonl()
@@ -138,11 +131,22 @@ class TestTranscript:
         # json refuses integers this long with a plain ValueError
         with pytest.raises(TranscriptParseError, match="line 1"):
             Transcript.from_jsonl("1" * 5000 + "\n")
+        # one bad field in the event after a valid event 0
+        header, event0, event1 = run_scenario(config_for("honest")).to_jsonl().split("\n")[:3]
+        for field, value in (("seq", True), ("seq", 1.0), ("time", "x"), ("actor", 7),
+                             ("actor", "eve"), ("kind", None), ("payload", 3), ("payload", [])):
+            bad = json.dumps({**json.loads(event1), field: value})
+            with pytest.raises(TranscriptParseError, match="line 3"):
+                Transcript.from_jsonl(f"{header}\n{event0}\n{bad}\n")
 
     def test_outcome_of_header_only_transcript_is_value_error(self):
         header = run_scenario(config_for("honest")).to_jsonl().split("\n")[0]
-        with pytest.raises(ValueError, match="does not end in a scenario verdict"):
-            Transcript.from_jsonl(header + "\n").outcome()
+        verdict = {"seq": 0, "time": 0, "actor": "harness", "kind": "verdict"}
+        for events in ([], [{**verdict, "payload": {"check": "scenario", "outcome": 5}}],
+                       [{**verdict, "payload": {"check": "scenario"}}]):
+            text = "\n".join([header, *map(json.dumps, events)]) + "\n"
+            with pytest.raises(ValueError, match="does not end in a scenario verdict"):
+                Transcript.from_jsonl(text).outcome()
 
     def test_from_jsonl_rejects_reordered_events(self):
         text = run_scenario(config_for("honest", seed=3)).to_jsonl()
@@ -394,7 +398,12 @@ class TestReplay:
                 "seed": st.integers() | json_values, "window": st.integers() | json_values,
                 "dictionary": st.none() | json_values}),
            event=json_values | st.fixed_dictionaries(
-               {key: json_values for key in ("seq", "time", "actor", "kind", "payload")}),
+               {"seq": st.just(0) | json_values, "time": st.integers() | json_values,
+                "actor": st.sampled_from(["harness", "intruder"]) | json_values,
+                "kind": st.sampled_from(["verdict", "send"]) | json_values,
+                "payload": st.fixed_dictionaries(
+                    {"check": st.just("scenario") | json_values, "outcome": json_values})
+                | json_values}),
            header_only=st.booleans())
     def test_any_json_line_is_replayed_or_rejected(self, tmp_path_factory, header, event,
                                                    header_only):
@@ -403,8 +412,23 @@ class TestReplay:
         path = tmp_path_factory.getbasetemp() / "any-json-line.jsonl"
         golden_header = GOLDEN.read_text(encoding="utf-8").split("\n", 1)[0]
         lines = [json.dumps(header)] if header_only else [golden_header, json.dumps(event)]
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        text = "\n".join(lines) + "\n"
+        path.write_text(text, encoding="utf-8")
         try:
             replay_transcript(path)
         except (ReplayMismatch, TranscriptParseError, ScenarioError):
+            pass
+        # whatever parses is canonical, and its outcome is a str or a ValueError
+        try:
+            transcript = Transcript.from_jsonl(text)
+        except (TranscriptParseError, ScenarioError):
+            return
+        for seq, event in enumerate(transcript.events):
+            assert type(event.seq) is int and event.seq == seq
+            assert type(event.time) is int
+            assert event.actor in harness.ACTORS and event.kind in harness.EVENT_KINDS
+            assert isinstance(event.payload, dict)
+        try:
+            assert isinstance(transcript.outcome(), str)
+        except ValueError:
             pass

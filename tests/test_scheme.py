@@ -316,8 +316,15 @@ class TestChangePassword:
 
     def test_rejects_invalid_new_password(self):
         _, card = _fresh_setup()
-        with pytest.raises(ValueError):
-            card.change_password(PASSWORD, "")
+        before = card.masked_verifier
+        for bad in ("", "x" * 65):
+            with pytest.raises(ValueError):
+                card.change_password(PASSWORD, bad)
+            assert card.masked_verifier == before
+        # the old password is checked first
+        with pytest.raises(PasswordChangeRejected):
+            card.change_password("guess", "")
+        assert card.masked_verifier == before
 
 
 class TestWireFormat:
