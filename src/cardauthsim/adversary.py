@@ -31,6 +31,27 @@ INSIDER_SUPPLY_DIGEST = "supply-password-digest"
 INSIDER_MODES = (INSIDER_SUPPLY_VERIFIER, INSIDER_SUPPLY_DIGEST)
 
 
+def read_text(path: str | Path) -> str:
+    """The one reader of an input file: the strict UTF-8 text of a regular
+    file. OSError: unreadable or not a regular file; UnicodeDecodeError."""
+    try:
+        # checked before opening: a FIFO would block and a device never end
+        if not stat.S_ISREG(os.stat(path).st_mode):
+            raise OSError(f"not a regular file: {path}")
+        data = Path(path).read_bytes()
+    except ValueError as exc:  # the OS call refuses a path with a NUL or a lone surrogate
+        raise OSError(f"unusable path {path!r}: {exc}") from None
+    return data.decode("utf-8")
+
+
+def split_lines(text: str) -> list[str]:
+    """Split text into lines; a final newline ends the last line."""
+    lines = text.split("\n")
+    if lines and lines[-1] == "":
+        lines.pop()
+    return lines
+
+
 class CardSecrets(NamedTuple):
     """Byte-exact copy of a card's contents, as read out by a physical
     extraction the card is assumed not to resist."""
@@ -72,22 +93,10 @@ class Wordlist(tuple):
     def load(cls, path: str | Path) -> "Wordlist":
         """Read a UTF-8 wordlist file, one password per line, no blank lines, no
         carriage returns. OSError: unreadable or not a regular file; ValueError: malformed."""
-        try:
-            # checked before opening: a FIFO would block and a device never end
-            if not stat.S_ISREG(os.stat(path).st_mode):
-                raise OSError(f"not a regular file: {path}")
-            data = Path(path).read_bytes()
-        except ValueError as exc:  # the OS call refuses a path with a NUL or a lone surrogate
-            raise OSError(f"unusable path {path!r}: {exc}") from None
-        text = data.decode("utf-8")
+        text = read_text(path)
         if "\r" in text:
             raise ValueError(f"carriage return in wordlist {path}")
-        lines = text.split("\n")
-        if lines and lines[-1] == "":
-            lines.pop()
-        if any(line == "" for line in lines):
-            raise ValueError(f"blank line in wordlist {path}")
-        return cls(lines)
+        return cls(split_lines(text))
 
 
 def offline_guess(secrets: CardSecrets, request: LoginRequest,

@@ -27,6 +27,8 @@ from .adversary import (
     insider_change_password,
     offline_guess,
     outsider_change_password,
+    read_text,
+    split_lines,
 )
 from .blocks import BLOCK_LEN, Block
 from .scheme import (
@@ -56,14 +58,6 @@ class ScenarioError(Exception):
     """A scenario could not run at all (as opposed to an attack failing)."""
 
 
-class InvalidConfig(ScenarioError):
-    pass
-
-
-class MissingDictionary(ScenarioError):
-    pass
-
-
 class TranscriptParseError(ValueError):
     pass
 
@@ -78,14 +72,6 @@ class ReplayMismatch(Exception):
 
 def _dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def _jsonl_lines(text: str) -> list[str]:
-    """Split JSON Lines text; a final newline ends the last line."""
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    return lines
 
 
 def _fields(obj, keys: tuple[str, ...], what: str) -> list:
@@ -104,28 +90,28 @@ class _ConfigFields(NamedTuple):
 
 class ScenarioConfig(_ConfigFields):
     """Everything a scenario run depends on; equal configs give
-    byte-identical transcripts. Construction raises InvalidConfig, or
-    MissingDictionary for a guessing scenario without a dictionary."""
+    byte-identical transcripts. Construction raises ScenarioError for a
+    config that cannot run."""
 
     __slots__ = ()
 
     def __new__(cls, scenario: str, seed: int = 0, window: int = DEFAULT_WINDOW,
                 dictionary_path: Optional[str] = None) -> "ScenarioConfig":
         if not isinstance(scenario, str) or scenario not in SCENARIOS:
-            raise InvalidConfig(f"unknown scenario {scenario!r}, "
+            raise ScenarioError(f"unknown scenario {scenario!r}, "
                                 f"expected one of {sorted(SCENARIOS)}")
         # type() rather than isinstance(): a bool is an int subclass; and
         # random.Random seeds by absolute value, so -n would replay seed n
         if type(seed) is not int or seed < 0:
-            raise InvalidConfig("seed must be a non-negative integer")
+            raise ScenarioError("seed must be a non-negative integer")
         if type(window) is not int or window < 1:
-            raise InvalidConfig("window must be a positive tick count")
+            raise ScenarioError("window must be a positive tick count")
         if dictionary_path is not None and not isinstance(dictionary_path, str):
-            raise InvalidConfig("dictionary must be a path string or null")
+            raise ScenarioError("dictionary must be a path string or null")
         if scenario in WORDLIST_SCENARIOS and dictionary_path is None:
-            raise MissingDictionary(f"scenario {scenario!r} needs a dictionary")
+            raise ScenarioError(f"scenario {scenario!r} needs a dictionary")
         if scenario not in WORDLIST_SCENARIOS and dictionary_path is not None:
-            raise InvalidConfig(f"scenario {scenario!r} takes no dictionary")
+            raise ScenarioError(f"scenario {scenario!r} takes no dictionary")
         return super().__new__(cls, scenario, seed, window, dictionary_path)
 
     @classmethod
@@ -184,7 +170,7 @@ class Transcript:
 
     @classmethod
     def from_jsonl(cls, text: str) -> "Transcript":
-        lines = _jsonl_lines(text)
+        lines = split_lines(text)
         if not lines:
             raise TranscriptParseError("empty transcript")
         objs = []
@@ -196,6 +182,9 @@ class Transcript:
                 detail = exc.msg if isinstance(exc, json.JSONDecodeError) else exc
                 raise TranscriptParseError(f"bad JSON on line {number}: {detail}") from None
         transcript = cls(ScenarioConfig.from_obj(objs[0]))
+        canonical = _dumps(transcript.config.to_obj())
+        if lines[0] != canonical:
+            raise TranscriptParseError(f"config line 1 must read exactly {canonical}")
         # the only check of an event line: a run's own transcripts meet it on replay
         for number, obj in enumerate(objs[1:], 2):
             event = Event(*_fields(obj, Event._fields, f"event line {number}"))
@@ -235,7 +224,7 @@ class _Run:
             try:
                 self.wordlist = Wordlist.load(config.dictionary_path)
             except OSError as exc:
-                raise MissingDictionary(f"cannot read dictionary: {exc}") from None
+                raise ScenarioError(f"cannot read dictionary: {exc}") from None
             except ValueError as exc:
                 raise ScenarioError(f"malformed dictionary: {exc}") from None
             self.victim_password = self.wordlist[self.rng.randrange(len(self.wordlist))]
@@ -419,17 +408,18 @@ def replay_transcript(path: str | Path) -> int:
 
     The file is compared byte for byte, line endings included. Returns
     the number of verified events. Raises ReplayMismatch at the first
-    diverging event, TranscriptParseError on a malformed file and
-    ScenarioError when the recorded config cannot run.
+    diverging event, OSError when the path is not a readable regular
+    file, TranscriptParseError on a malformed file and ScenarioError when
+    the recorded config cannot run.
     """
     try:
-        text = Path(path).read_bytes().decode("utf-8")
+        text = read_text(path)
     except UnicodeDecodeError as exc:
         raise TranscriptParseError(f"transcript is not UTF-8: {exc}") from None
     fresh = run_scenario(Transcript.from_jsonl(text).config)
-    fresh_lines = _jsonl_lines(fresh.to_jsonl())[1:]
+    fresh_lines = split_lines(fresh.to_jsonl())[1:]
     # a line missing from either side pairs with None and so differs
-    for seq, (old, new) in enumerate(zip_longest(_jsonl_lines(text)[1:], fresh_lines)):
+    for seq, (old, new) in enumerate(zip_longest(split_lines(text)[1:], fresh_lines)):
         if old != new:
             raise ReplayMismatch(seq)
     return len(fresh_lines)

@@ -1,5 +1,6 @@
 """The four attacks, each exercised end to end against honest parties."""
 
+import os
 import random
 from pathlib import Path
 
@@ -83,8 +84,17 @@ class TestWordlist:
     def test_load_rejects_blank_line(self, tmp_path):
         path = tmp_path / "words.txt"
         path.write_text("one\n\ntwo\n", encoding="utf-8")
-        with pytest.raises(ValueError):
+        # the rule Wordlist applies to every entry
+        with pytest.raises(ValueError, match="password must not be empty"):
             Wordlist.load(path)
+
+    def test_load_reads_only_a_regular_file(self, tmp_path):
+        fifo = tmp_path / "words.fifo"
+        os.mkfifo(fifo)  # reading it would block with no writer
+        # "a\0b" and "\ud800" cannot name a file; /dev/null and the FIFO are not regular files
+        for path in ("/nonexistent", "a\u0000b", "\ud800", "/dev/null", fifo):
+            with pytest.raises(OSError):
+                Wordlist.load(path)
 
     def test_shipped_dictionary_is_well_formed(self):
         wl = Wordlist.load(Path(__file__).parent.parent / "data" / "dictionary.txt")

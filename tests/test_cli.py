@@ -1,6 +1,7 @@
 """Command-line behaviour: exit codes, output streams, file round trips."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,7 @@ from cardauthsim.cli import main
 
 DICT_PATH = str(Path(__file__).parent.parent / "data" / "dictionary.txt")
 SRC = str(Path(__file__).parent.parent / "src")
+GOLDEN = Path(__file__).parent.parent / "golden" / "parallel_session_seed42.jsonl"
 
 
 class TestDemo:
@@ -62,13 +64,14 @@ class TestDemo:
             assert err.startswith("error: "), path
             # replay re-runs the recorded config, so it meets the same file
             transcript = tmp_path / "t.jsonl"
-            transcript.write_text(json.dumps({"scenario": "offline-guess", "seed": 0,
-                                              "window": 5, "dictionary": path}) + "\n",
-                                  encoding="utf-8")
+            header = json.dumps({"scenario": "offline-guess", "seed": 0, "window": 5,
+                                 "dictionary": path}, sort_keys=True, separators=(",", ":"))
+            transcript.write_text(header + "\n", encoding="utf-8")
             code = main(["replay", str(transcript)])
             _, err = capsys.readouterr()
             assert code == 1, path
-            assert err.startswith("error: "), path
+            assert err.startswith(("error: cannot read dictionary",
+                                   "error: malformed dictionary")), path
 
     def test_out_writes_replayable_file(self, tmp_path, capsys):
         out_file = tmp_path / "t.jsonl"
@@ -133,14 +136,33 @@ class TestReplayCommand:
         assert out.startswith("mismatch at seq 2")
 
     def test_missing_file_is_io_error(self, capsys):
-        code = main(["replay", "/no/such/transcript.jsonl"])
-        _, err = capsys.readouterr()
-        assert code == 1
-        assert "error" in err
+        # "a\0b" and "\ud800" cannot name a file; /dev/null is not a regular file
+        for path in ("/no/such/transcript.jsonl", "a\u0000b", "\ud800", "/dev/null"):
+            code = main(["replay", path])
+            _, err = capsys.readouterr()
+            assert code == 1, path
+            assert err.startswith("error: "), path
+
+    def test_fifo_is_refused_unread(self, tmp_path):
+        # a child process: a reader that opens a FIFO waits for a writer,
+        # and the timeout turns that wait into a failure, not a hang
+        fifo = tmp_path / "t.fifo"
+        os.mkfifo(fifo)
+        result = subprocess.run([sys.executable, "-m", "cardauthsim.cli", "replay", str(fifo)],
+                                capture_output=True, text=True, timeout=10,
+                                env={**os.environ, "PYTHONPATH": SRC})
+        assert result.returncode == 1
+        assert result.stderr.startswith("error: not a regular file")
 
     def test_garbage_file_is_error(self, tmp_path, capsys):
         header = ('{"dictionary":null,"scenario":"parallel-session","seed":42,'
                   '"window":5}\n').encode()
+        golden_events = GOLDEN.read_bytes().split(b"\n", 1)[1]
+        # each decodes to the golden config, but none is the line demo writes
+        non_canonical = [bad_header + b"\n" + golden_events for bad_header in (
+            b'{"dictionary": null, "scenario": "parallel-session", "seed": 42, "window": 5}',
+            b'{"seed":1,"scenario":"parallel-session","seed":42,"window":5,"dictionary":null}',
+            b'{"dictionary":null,"scenario":"parallel\\u002dsession","seed":42,"window":5}')]
         # one bad field in the event after a valid event 0 of the same run
         event0 = (b'{"actor":"server","kind":"state-change","payload":{"action":'
                   b'"account-registered","counter":0,"id":"alice"},"seq":0,"time":0}\n')
@@ -154,7 +176,7 @@ class TestReplayCommand:
                      b'{"dictionary":null,"scenario":["x"],"seed":0,"window":5}\n',
                      b'{"dictionary":5,"scenario":"honest","seed":0,"window":5}\n',
                      b'{"dictionary":null,"scenario":"honest","seed":-1,"window":5}\n',
-                     header + b"7\n", header + b"\xff\xfe\n", *bad_events):
+                     header + b"7\n", header + b"\xff\xfe\n", *bad_events, *non_canonical):
             bad = tmp_path / "bad.jsonl"
             bad.write_bytes(data)
             code = main(["replay", str(bad)])

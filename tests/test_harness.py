@@ -11,12 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cardauthsim import harness
-from cardauthsim.blocks import digest
+from cardauthsim.adversary import CardSecrets
+from cardauthsim.blocks import digest, xor
 from cardauthsim.harness import (
     SCENARIOS,
     WORDLIST_SCENARIOS,
-    InvalidConfig,
-    MissingDictionary,
     ReplayMismatch,
     ScenarioConfig,
     ScenarioError,
@@ -28,6 +27,8 @@ from cardauthsim.harness import (
 from cardauthsim.scheme import (
     DEFAULT_WINDOW,
     AuthServer,
+    BadAuthenticator,
+    LoginRequest,
     ServerResponse,
     UserSession,
     proof,
@@ -36,6 +37,13 @@ from cardauthsim.scheme import (
 
 DICT_PATH = str(Path(__file__).parent.parent / "data" / "dictionary.txt")
 GOLDEN = Path(__file__).parent.parent / "golden" / "parallel_session_seed42.jsonl"
+# each decodes to the golden config, but none is the line `to_jsonl` writes:
+# spaces, a duplicate key, an escape `_dumps` never writes
+NON_CANONICAL_HEADERS = (
+    '{"dictionary": null, "scenario": "parallel-session", "seed": 42, "window": 5}',
+    '{"seed":1,"scenario":"parallel-session","seed":42,"window":5,"dictionary":null}',
+    '{"dictionary":null,"scenario":"parallel\\u002dsession","seed":42,"window":5}',
+)
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
@@ -128,6 +136,10 @@ class TestTranscript:
         header = run_scenario(config_for("honest")).to_jsonl().split("\n")[0]
         with pytest.raises(TranscriptParseError, match="line 3"):
             Transcript.from_jsonl(f"{header}\n{header}\n\n")
+        golden_events = GOLDEN.read_text(encoding="utf-8").split("\n", 1)[1]
+        for bad_header in NON_CANONICAL_HEADERS:
+            with pytest.raises(TranscriptParseError, match="line 1"):
+                Transcript.from_jsonl(f"{bad_header}\n{golden_events}")
         # json refuses integers this long with a plain ValueError
         with pytest.raises(TranscriptParseError, match="line 1"):
             Transcript.from_jsonl("1" * 5000 + "\n")
@@ -245,34 +257,34 @@ class TestScenarios:
             "c09ecbff16be0e1f802f0caf352adc9675ba30812d03799ce92d3d9d7c21a050")
 
     def test_invalid_configs_rejected(self):
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(ScenarioError, match="unknown scenario"):
             run_scenario(ScenarioConfig(scenario="nonsense"))
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(ScenarioError, match="window"):
             run_scenario(ScenarioConfig(scenario="honest", window=0))
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(ScenarioError, match="seed"):
             run_scenario(ScenarioConfig(scenario="honest", seed="abc"))
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(ScenarioError, match="window"):
             run_scenario(ScenarioConfig(scenario="honest", window=True))
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(ScenarioError, match="unknown scenario"):
             run_scenario(ScenarioConfig(scenario=["x"]))
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(ScenarioError, match="dictionary"):
             run_scenario(ScenarioConfig(scenario="honest", dictionary_path=5))
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(ScenarioError, match="seed"):
             run_scenario(ScenarioConfig(scenario="honest", seed=-5))
         # a dictionary-free scenario would record the path and ignore it
         for scenario in set(SCENARIOS) - WORDLIST_SCENARIOS:
-            with pytest.raises(InvalidConfig, match="takes no dictionary"):
+            with pytest.raises(ScenarioError, match="takes no dictionary"):
                 ScenarioConfig(scenario=scenario, dictionary_path=DICT_PATH)
 
     def test_wordlist_scenarios_need_a_dictionary(self, tmp_path):
         fifo = tmp_path / "words.fifo"
         os.mkfifo(fifo)  # reading it would block with no writer
         for scenario in WORDLIST_SCENARIOS:
-            with pytest.raises(MissingDictionary):
+            with pytest.raises(ScenarioError, match="needs a dictionary"):
                 run_scenario(ScenarioConfig(scenario=scenario))
             # "a\0b" and "\ud800" cannot name a file; /dev/null and the FIFO are not regular files
             for path in ("/nonexistent/words.txt", "a\u0000b", "\ud800", "/dev/null", str(fifo)):
-                with pytest.raises(MissingDictionary, match="cannot read dictionary"):
+                with pytest.raises(ScenarioError, match="cannot read dictionary"):
                     run_scenario(ScenarioConfig(scenario=scenario, dictionary_path=path))
 
     def test_victim_password_comes_from_the_wordlist(self, tmp_path):
@@ -319,6 +331,29 @@ class TestNegativeControl:
             "parallel-session": {"attack-failed": 150},
             "insider-change": {"attack-succeeded": 150},
         }
+
+
+class TestBreachOnlyControl:
+    """The card holds the verifier K in clear, so its stolen contents
+    alone, with no tapped login and no dictionary scan, let the thief log
+    in as the owner and lock the owner out. The scan in offline-guess and
+    outsider-change is needed only to learn the password itself."""
+
+    def test_stolen_card_alone_impersonates_and_locks_out(self):
+        now = 10
+        for seed in range(50):
+            run = harness._Run(config_for("honest", seed=seed))
+            card = run.register_victim()
+            sec = CardSecrets.from_card(card)
+            forged = LoginRequest(harness.VICTIM_ID, proof(sec.verifier, now), now)
+            assert isinstance(run.server.verify_login(forged, now), ServerResponse)
+            # the masked verifier XOR the verifier is the owner's password digest
+            card.remask(xor(sec.masked_verifier, sec.verifier), "mallory")
+            owner, _ = card.login(harness.VICTIM_ID, run.victim_password, now)
+            with pytest.raises(BadAuthenticator):
+                run.server.verify_login(owner, now)
+            thief, _ = card.login(harness.VICTIM_ID, "mallory", now)
+            assert isinstance(run.server.verify_login(thief, now), ServerResponse)
 
 
 class TestReplay:
@@ -380,10 +415,24 @@ class TestReplay:
         with pytest.raises(TranscriptParseError):
             replay_transcript(path)
 
+    def test_unreadable_path_is_os_error(self):
+        # "a\0b" and "\ud800" cannot name a file; /dev/null is not a regular
+        # file. test_cli replays a FIFO in a child process, where a reader
+        # that blocks on it is killed by a timeout instead of hanging.
+        for path in ("/nonexistent", "a\u0000b", "\ud800", "/dev/null"):
+            with pytest.raises(OSError):
+                replay_transcript(path)
+
     def test_line_endings_are_compared_byte_for_byte(self, tmp_path):
         golden = GOLDEN.read_bytes()
         path = tmp_path / "copy.jsonl"
+        # json.loads reads past a CR, but the config line is then not canonical
         path.write_bytes(golden.replace(b"\n", b"\r\n"))
+        with pytest.raises(TranscriptParseError, match="line 1"):
+            replay_transcript(path)
+        # a CR on an event line is a difference in that event's bytes
+        header, event0, rest = golden.split(b"\n", 2)
+        path.write_bytes(b"\n".join([header, event0 + b"\r", rest]))
         with pytest.raises(ReplayMismatch) as exc:
             replay_transcript(path)
         assert exc.value.seq == 0
@@ -411,7 +460,9 @@ class TestReplay:
         # after the golden header meets the parser or the comparison.
         path = tmp_path_factory.getbasetemp() / "any-json-line.jsonl"
         golden_header = GOLDEN.read_text(encoding="utf-8").split("\n", 1)[0]
-        lines = [json.dumps(header)] if header_only else [golden_header, json.dumps(event)]
+        # a canonical header, so that a bad value reaches ScenarioConfig
+        canonical_header = json.dumps(header, sort_keys=True, separators=(",", ":"))
+        lines = [canonical_header] if header_only else [golden_header, json.dumps(event)]
         text = "\n".join(lines) + "\n"
         path.write_text(text, encoding="utf-8")
         try:
@@ -423,6 +474,7 @@ class TestReplay:
             transcript = Transcript.from_jsonl(text)
         except (TranscriptParseError, ScenarioError):
             return
+        assert lines[0] == harness._dumps(transcript.config.to_obj())
         for seq, event in enumerate(transcript.events):
             assert type(event.seq) is int and event.seq == seq
             assert type(event.time) is int

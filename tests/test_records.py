@@ -6,7 +6,7 @@ import pytest
 
 from cardauthsim.adversary import CardSecrets, RegistrationRecord
 from cardauthsim.blocks import ONES_BLOCK, ZERO_BLOCK, Block, xor
-from cardauthsim.harness import Event, InvalidConfig, ScenarioConfig, Transcript
+from cardauthsim.harness import Event, ScenarioConfig, ScenarioError, Transcript
 from cardauthsim.scheme import (
     DEFAULT_WINDOW,
     AuthServer,
@@ -48,7 +48,7 @@ def test_config_defaults_and_keyword_construction():
 
 
 def test_config_replace_runs_the_checks():
-    with pytest.raises(InvalidConfig, match="seed"):
+    with pytest.raises(ScenarioError, match="seed"):
         ScenarioConfig("honest")._replace(seed=-1)
 
 
