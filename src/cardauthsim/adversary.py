@@ -44,14 +44,6 @@ def read_text(path: str | Path) -> str:
     return data.decode("utf-8")
 
 
-def split_lines(text: str) -> list[str]:
-    """Split text into lines; a final newline ends the last line."""
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    return lines
-
-
 class CardSecrets(NamedTuple):
     """Byte-exact copy of a card's contents, as read out by a physical
     extraction the card is assumed not to resist."""
@@ -81,22 +73,29 @@ class Wordlist(tuple):
         self = super().__new__(cls, words)
         if not self:
             raise ValueError("wordlist must not be empty")
-        seen = set()
-        for word in self:
-            validate_password(word)
+        seen: dict[str, int] = {}
+        for number, word in enumerate(self, 1):
+            try:
+                validate_password(word)
+            except ValueError as exc:
+                raise ValueError(f"entry {number}: {exc}") from None
             if word in seen:
-                raise ValueError(f"duplicate wordlist entry: {word!r}")
-            seen.add(word)
+                raise ValueError(f"entry {number} repeats entry {seen[word]}: {word!r}")
+            seen[word] = number
         return self
 
     @classmethod
     def load(cls, path: str | Path) -> "Wordlist":
         """Read a UTF-8 wordlist file, one password per line, no blank lines, no
-        carriage returns. OSError: unreadable or not a regular file; ValueError: malformed."""
+        carriage returns; the final newline may be left out. Entry n is line n.
+        OSError: unreadable or not a regular file; ValueError: malformed."""
         text = read_text(path)
         if "\r" in text:
-            raise ValueError(f"carriage return in wordlist {path}")
-        return cls(split_lines(text))
+            raise ValueError("carriage return in wordlist")
+        lines = text.split("\n")
+        if lines[-1] == "":
+            lines.pop()
+        return cls(lines)
 
 
 def offline_guess(secrets: CardSecrets, request: LoginRequest,

@@ -14,7 +14,6 @@ window of at least 2 ticks.
 
 import json
 import random
-from itertools import zip_longest
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
@@ -28,7 +27,6 @@ from .adversary import (
     offline_guess,
     outsider_change_password,
     read_text,
-    split_lines,
 )
 from .blocks import BLOCK_LEN, Block
 from .scheme import (
@@ -170,7 +168,10 @@ class Transcript:
 
     @classmethod
     def from_jsonl(cls, text: str) -> "Transcript":
-        lines = split_lines(text)
+        # exactly what `to_jsonl` writes: every line, the last one included, ends in \n
+        lines = text.split("\n")
+        if lines.pop():
+            raise TranscriptParseError(f"line {len(lines) + 1} does not end in a newline")
         if not lines:
             raise TranscriptParseError("empty transcript")
         objs = []
@@ -226,7 +227,8 @@ class _Run:
             except OSError as exc:
                 raise ScenarioError(f"cannot read dictionary: {exc}") from None
             except ValueError as exc:
-                raise ScenarioError(f"malformed dictionary: {exc}") from None
+                raise ScenarioError(
+                    f"malformed dictionary {config.dictionary_path}: {exc}") from None
             self.victim_password = self.wordlist[self.rng.randrange(len(self.wordlist))]
         else:
             self.victim_password = _random_password(self.rng)
@@ -404,22 +406,22 @@ def run_scenario(config: ScenarioConfig) -> Transcript:
 
 
 def replay_transcript(path: str | Path) -> int:
-    """Re-run a transcript file's embedded config and compare line by line.
-
-    The file is compared byte for byte, line endings included. Returns
-    the number of verified events. Raises ReplayMismatch at the first
-    diverging event, OSError when the path is not a readable regular
-    file, TranscriptParseError on a malformed file and ScenarioError when
-    the recorded config cannot run.
+    """Re-run a transcript file's embedded config; the file verifies only
+    when it is byte for byte what `to_jsonl` writes for that config, line
+    endings and final newline included. Returns the number of verified
+    events. Raises ReplayMismatch at the first diverging event, OSError
+    when the path is not a readable regular file, TranscriptParseError on
+    a malformed file and ScenarioError when the recorded config cannot run.
     """
     try:
         text = read_text(path)
     except UnicodeDecodeError as exc:
         raise TranscriptParseError(f"transcript is not UTF-8: {exc}") from None
     fresh = run_scenario(Transcript.from_jsonl(text).config)
-    fresh_lines = split_lines(fresh.to_jsonl())[1:]
-    # a line missing from either side pairs with None and so differs
-    for seq, (old, new) in enumerate(zip_longest(split_lines(text)[1:], fresh_lines)):
-        if old != new:
-            raise ReplayMismatch(seq)
-    return len(fresh_lines)
+    fresh_text = fresh.to_jsonl()
+    if text != fresh_text:
+        # the config lines are equal, as from_jsonl admits only the canonical
+        # one, and no event line is blank, so a shorter side's final "" differs
+        pairs = zip(text.split("\n")[1:], fresh_text.split("\n")[1:])
+        raise ReplayMismatch(next(seq for seq, (old, new) in enumerate(pairs) if old != new))
+    return len(fresh.events)

@@ -170,10 +170,7 @@ class AuthServer:
         BadAuthenticator when the proof does not match. On success returns
         the mutual-auth reply.
         """
-        try:
-            validate_identity(request.identity)
-        except ValueError as exc:
-            raise UnknownIdentity(str(exc)) from None
+        # `register` stores only valid identities, so this rejects malformed ones too
         if request.identity not in self.accounts:
             raise UnknownIdentity(f"no account for {request.identity!r}")
         if not _fresh(request.timestamp, received_at - window, received_at):

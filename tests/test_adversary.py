@@ -69,9 +69,10 @@ class TestWordlist:
         assert "a" in wl and "z" not in wl
 
     def test_rejects_duplicates_blanks_and_empty(self):
-        with pytest.raises(ValueError):
-            Wordlist(["a", "a"])
-        with pytest.raises(ValueError):
+        # errors name the 1-based entry, and a duplicate both entries
+        with pytest.raises(ValueError, match="entry 3 repeats entry 1: 'a'"):
+            Wordlist(["a", "b", "a"])
+        with pytest.raises(ValueError, match="entry 2: password must not be empty"):
             Wordlist(["a", ""])
         with pytest.raises(ValueError):
             Wordlist([])
@@ -80,12 +81,15 @@ class TestWordlist:
         path = tmp_path / "words.txt"
         path.write_text("one\ntwo\nthree\n", encoding="utf-8")
         assert list(Wordlist.load(path)) == ["one", "two", "three"]
+        # the final newline may be left out
+        path.write_text("one\ntwo\nthree", encoding="utf-8")
+        assert list(Wordlist.load(path)) == ["one", "two", "three"]
 
     def test_load_rejects_blank_line(self, tmp_path):
         path = tmp_path / "words.txt"
         path.write_text("one\n\ntwo\n", encoding="utf-8")
         # the rule Wordlist applies to every entry
-        with pytest.raises(ValueError, match="password must not be empty"):
+        with pytest.raises(ValueError, match="entry 2: password must not be empty"):
             Wordlist.load(path)
 
     def test_load_reads_only_a_regular_file(self, tmp_path):

@@ -62,6 +62,7 @@ class TestDemo:
             _, err = capsys.readouterr()
             assert code == 1, path
             assert err.startswith("error: "), path
+            assert path in err, err
             # replay re-runs the recorded config, so it meets the same file
             transcript = tmp_path / "t.jsonl"
             header = json.dumps({"scenario": "offline-guess", "seed": 0, "window": 5,
@@ -72,6 +73,7 @@ class TestDemo:
             assert code == 1, path
             assert err.startswith(("error: cannot read dictionary",
                                    "error: malformed dictionary")), path
+            assert path in err, err
 
     def test_out_writes_replayable_file(self, tmp_path, capsys):
         out_file = tmp_path / "t.jsonl"
@@ -176,7 +178,8 @@ class TestReplayCommand:
                      b'{"dictionary":null,"scenario":["x"],"seed":0,"window":5}\n',
                      b'{"dictionary":5,"scenario":"honest","seed":0,"window":5}\n',
                      b'{"dictionary":null,"scenario":"honest","seed":-1,"window":5}\n',
-                     header + b"7\n", header + b"\xff\xfe\n", *bad_events, *non_canonical):
+                     header + b"7\n", header + b"\xff\xfe\n", *bad_events, *non_canonical,
+                     GOLDEN.read_bytes()[:-1]):
             bad = tmp_path / "bad.jsonl"
             bad.write_bytes(data)
             code = main(["replay", str(bad)])

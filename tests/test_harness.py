@@ -136,6 +136,9 @@ class TestTranscript:
         header = run_scenario(config_for("honest")).to_jsonl().split("\n")[0]
         with pytest.raises(TranscriptParseError, match="line 3"):
             Transcript.from_jsonl(f"{header}\n{header}\n\n")
+        # every line ends in a newline, the last one included
+        with pytest.raises(TranscriptParseError, match="line 1 does not end in a newline"):
+            Transcript.from_jsonl(header)
         golden_events = GOLDEN.read_text(encoding="utf-8").split("\n", 1)[1]
         for bad_header in NON_CANONICAL_HEADERS:
             with pytest.raises(TranscriptParseError, match="line 1"):
@@ -408,6 +411,12 @@ class TestReplay:
         with pytest.raises(ReplayMismatch) as exc:
             replay_transcript(path)
         assert exc.value.seq == len(lines) - 2
+        # an extra well-formed event after the verdict diverges at its own seq
+        extra = {**json.loads(lines[-1]), "seq": len(lines) - 1}
+        path.write_text("\n".join([*lines, json.dumps(extra)]) + "\n", encoding="utf-8")
+        with pytest.raises(ReplayMismatch) as exc:
+            replay_transcript(path)
+        assert exc.value.seq == len(lines) - 1
 
     def test_unparseable_file_raises_parse_error(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -440,6 +449,18 @@ class TestReplay:
         path.write_bytes(golden.replace(b"\n", b"\r"))
         with pytest.raises(TranscriptParseError):
             replay_transcript(path)
+        # the final newline is part of the last event's line
+        path.write_bytes(golden[:-1])
+        with pytest.raises(TranscriptParseError, match="line 17 does not end in a newline"):
+            replay_transcript(path)
+
+    def test_no_one_byte_deletion_of_the_golden_file_verifies(self, tmp_path):
+        golden = GOLDEN.read_bytes()
+        path = tmp_path / "cut.jsonl"
+        for at in range(len(golden)):
+            path.write_bytes(golden[:at] + golden[at + 1:])
+            with pytest.raises((ReplayMismatch, TranscriptParseError, ScenarioError)):
+                replay_transcript(path)
 
     @settings(max_examples=100, deadline=None)
     @given(header=json_values | st.fixed_dictionaries(

@@ -234,9 +234,10 @@ class TestVerifyLogin:
 
     def test_malformed_identity_rejected(self):
         server, _ = _fresh_setup()
-        bad = LoginRequest("has space", Block(bytes(32)), 10)
-        with pytest.raises(UnknownIdentity):
-            server.verify_login(bad, 11)
+        for identity in ("has space", "", "a" * 65, "al\u00efce"):
+            bad = LoginRequest(identity, Block(bytes(32)), 10)
+            with pytest.raises(UnknownIdentity):
+                server.verify_login(bad, 11)
 
     def test_old_card_rejected_after_reregistration(self):
         server = AuthServer(MASTER)
