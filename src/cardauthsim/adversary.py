@@ -16,7 +16,7 @@ import stat
 from pathlib import Path
 from typing import Iterable, NamedTuple, Optional
 
-from .blocks import Block, digest, encode_timestamp, validate_password, xor
+from .blocks import digest, encode_timestamp, validate_password, xor
 from .scheme import (
     LoginRequest,
     ServerResponse,
@@ -48,9 +48,9 @@ class CardSecrets(NamedTuple):
     """Byte-exact copy of a card's contents, as read out by a physical
     extraction the card is assumed not to resist."""
 
-    verifier: Block
-    masked_verifier: Block
-    salt: Block
+    verifier: bytes
+    masked_verifier: bytes
+    salt: bytes
 
     @classmethod
     def from_card(cls, card: SmartCard) -> "CardSecrets":
@@ -61,9 +61,9 @@ class RegistrationRecord(NamedTuple):
     """What an insider at the server learns when a user registers: the
     submitted password digest and both issued card secrets."""
 
-    password_digest: Block
-    verifier: Block
-    masked_verifier: Block
+    password_digest: bytes
+    verifier: bytes
+    masked_verifier: bytes
 
 
 class Wordlist(tuple):
@@ -88,10 +88,15 @@ class Wordlist(tuple):
     def load(cls, path: str | Path) -> "Wordlist":
         """Read a UTF-8 wordlist file, one password per line, no blank lines, no
         carriage returns; the final newline may be left out. Entry n is line n.
-        OSError: unreadable or not a regular file; ValueError: malformed."""
-        text = read_text(path)
+        OSError: unreadable or not a regular file; ValueError: malformed, naming the line."""
+        try:
+            text = read_text(path)
+        except UnicodeDecodeError as exc:
+            line = exc.object.count(b"\n", 0, exc.start) + 1
+            raise ValueError(f"line {line}: not UTF-8 ({exc.reason})") from None
         if "\r" in text:
-            raise ValueError("carriage return in wordlist")
+            line = text.count("\n", 0, text.index("\r")) + 1
+            raise ValueError(f"line {line}: carriage return")
         lines = text.split("\n")
         if lines[-1] == "":
             lines.pop()
@@ -99,7 +104,7 @@ class Wordlist(tuple):
 
 
 def offline_guess(secrets: CardSecrets, request: LoginRequest,
-                  wordlist: Wordlist) -> Optional[tuple[str, Block]]:
+                  wordlist: Wordlist) -> Optional[tuple[str, bytes]]:
     """Recover the password behind an intercepted login request.
 
     For each candidate, unmask the verifier as the card would have and

@@ -1,9 +1,9 @@
 """Fixed-width block arithmetic underneath the authentication scheme.
 
 Every secret, authenticator and masked value in the scheme lives in one
-domain: 32-byte blocks combined with XOR and a one-way function. Values
-that are not naturally 32 bytes wide (identities, passwords, counters,
-clock ticks) are folded into the domain by `encode_*`, which prefixes a
+domain: 32-byte blocks, as plain `bytes`, under XOR and a one-way function;
+`Block` checks a value from outside. Identities, passwords, counters and
+clock ticks are folded into the domain by `encode_*`, which prefixes a
 type tag so different kinds of value can never collide.
 """
 
@@ -30,37 +30,33 @@ GOLDEN_DIGESTS = {
 }
 
 
-class Block(bytes):
-    """An opaque 32-byte value. Construction rejects any other length."""
-
-    def __new__(cls, data: bytes) -> "Block":
-        if len(data) != BLOCK_LEN:
-            raise ValueError(f"block must be exactly {BLOCK_LEN} bytes, got {len(data)}")
-        return super().__new__(cls, data)
+def Block(data: bytes) -> bytes:
+    """A checked block from outside: the exact `bytes` of 32-byte `data`."""
+    if len(data) != BLOCK_LEN:
+        raise ValueError(f"block must be exactly {BLOCK_LEN} bytes, got {len(data)}")
+    return bytes(data)
 
 
-ZERO_BLOCK = Block(bytes(BLOCK_LEN))
-ONES_BLOCK = Block(b"\xff" * BLOCK_LEN)
+ZERO_BLOCK = bytes(BLOCK_LEN)
+ONES_BLOCK = b"\xff" * BLOCK_LEN
 
 
-def _hash(data: bytes) -> Block:
-    # SHA-256 output is BLOCK_LEN bytes, so `Block.__new__`'s check is skipped
-    return bytes.__new__(Block, hashlib.sha256(data).digest())
+def _hash(data: bytes) -> bytes:
+    return hashlib.sha256(data).digest()
 
 
-def digest(block: bytes) -> Block:
+def digest(block: bytes) -> bytes:
     """One-way function over a block, realised as SHA-256."""
     if len(block) != BLOCK_LEN:
         raise ValueError(f"digest input must be a {BLOCK_LEN}-byte block")
     return _hash(block)
 
 
-def xor(a: bytes, b: bytes) -> Block:
+def xor(a: bytes, b: bytes) -> bytes:
     """Byte-wise XOR of two blocks, computed on them as big-endian integers."""
     if len(a) != BLOCK_LEN or len(b) != BLOCK_LEN:
         raise ValueError(f"xor operands must be {BLOCK_LEN}-byte blocks")
-    mixed = int.from_bytes(a, "big") ^ int.from_bytes(b, "big")
-    return bytes.__new__(Block, mixed.to_bytes(BLOCK_LEN, "big"))
+    return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(BLOCK_LEN, "big")
 
 
 def validate_identity(identity: str) -> str:
@@ -83,22 +79,22 @@ def validate_password(password: str) -> str:
     return password
 
 
-def encode_identity(identity: str) -> Block:
+def encode_identity(identity: str) -> bytes:
     return _hash(_IDENTITY_TAG + validate_identity(identity).encode("ascii"))
 
 
-def encode_password(password: str) -> Block:
+def encode_password(password: str) -> bytes:
     return _hash(_PASSWORD_TAG + validate_password(password).encode("utf-8"))
 
 
-def encode_timestamp(ticks: int) -> Block:
+def encode_timestamp(ticks: int) -> bytes:
     """Fold a logical clock reading into the block domain."""
     if not 0 <= ticks < TIMESTAMP_LIMIT:
         raise ValueError("timestamp out of range")
     return _hash(_TIMESTAMP_TAG + ticks.to_bytes(8, "big"))
 
 
-def encode_registered_identity(identity: str, counter: int) -> Block:
+def encode_registered_identity(identity: str, counter: int) -> bytes:
     """Bind an identity to its registration counter.
 
     The counter is a fixed-width suffix, so the serialisation is

@@ -20,7 +20,6 @@ from typing import NamedTuple
 
 from .blocks import (
     TIMESTAMP_LIMIT,
-    Block,
     digest,
     encode_password,
     encode_registered_identity,
@@ -58,21 +57,21 @@ class LoginRequest(NamedTuple):
     """Wire message from card to server: (identity, proof, reader clock)."""
 
     identity: str
-    authenticator: Block
+    authenticator: bytes
     timestamp: int
 
 
 class ServerResponse(NamedTuple):
     """Wire message from server to user: (proof, server clock)."""
 
-    authenticator: Block
+    authenticator: bytes
     timestamp: int
 
 
 class UserSession(NamedTuple):
     """What the user side retains between sending a login and checking the reply."""
 
-    secret: Block
+    secret: bytes
     sent_at: int
 
 
@@ -82,12 +81,12 @@ def _fresh(stamp: int, earliest: int, latest: int) -> bool:
     return earliest <= stamp <= latest and 0 <= stamp < TIMESTAMP_LIMIT
 
 
-def password_digest(password: str, salt: Block) -> Block:
+def password_digest(password: str, salt: bytes) -> bytes:
     """Hash of the salted password; the only password-derived value ever sent."""
     return digest(xor(salt, encode_password(password)))
 
 
-def proof(secret: Block, ticks: int) -> Block:
+def proof(secret: bytes, ticks: int) -> bytes:
     """Wire authenticator: `secret` hashed against a clock reading. Login, reply
     and both their checks use it, so a server reply is a valid login proof."""
     return digest(xor(secret, encode_timestamp(ticks)))
@@ -97,7 +96,7 @@ class SmartCard:
     """Issued card state: the verifier, the verifier masked by the
     password digest, and the salt the user keyed in at registration."""
 
-    def __init__(self, verifier: Block, masked_verifier: Block, salt: Block):
+    def __init__(self, verifier: bytes, masked_verifier: bytes, salt: bytes):
         self.verifier = verifier
         self.masked_verifier = masked_verifier
         self.salt = salt
@@ -122,7 +121,7 @@ class SmartCard:
         """
         self.remask(password_digest(old_password, self.salt), new_password)
 
-    def remask(self, old_digest: Block, new_password: str) -> None:
+    def remask(self, old_digest: bytes, new_password: str) -> None:
         """The change phase after the reader has hashed the old password:
         re-mask the verifier under the new password if `old_digest`
         unmasks it. The card cannot tell who produced the digest. An
@@ -137,11 +136,11 @@ class AuthServer:
     """The verifier side: holds the master secret and, per identity, only
     a counter of how many times that identity registered."""
 
-    def __init__(self, master_secret: Block):
+    def __init__(self, master_secret: bytes):
         self.master_secret = master_secret
         self.accounts: dict[str, int] = {}
 
-    def register(self, identity: str, pw_digest: Block) -> tuple[Block, Block]:
+    def register(self, identity: str, pw_digest: bytes) -> tuple[bytes, bytes]:
         """Create or refresh an account; returns the card secrets to issue.
 
         First registration stores counter 0, every re-registration
@@ -156,7 +155,7 @@ class AuthServer:
         verifier = self._verifier_for(identity)
         return verifier, xor(verifier, pw_digest)
 
-    def _verifier_for(self, identity: str) -> Block:
+    def _verifier_for(self, identity: str) -> bytes:
         bound = encode_registered_identity(identity, self.accounts[identity])
         return digest(xor(bound, self.master_secret))
 
@@ -196,7 +195,7 @@ def verify_mutual_auth(session: UserSession, response: ServerResponse,
         raise BadAuthenticator("server reply does not prove the session secret")
 
 
-def enroll(server: AuthServer, identity: str, password: str, salt: Block) -> SmartCard:
+def enroll(server: AuthServer, identity: str, password: str, salt: bytes) -> SmartCard:
     """Run the whole registration phase and hand back the issued card."""
     verifier, masked = server.register(identity, password_digest(password, salt))
     return SmartCard(verifier, masked, salt)

@@ -92,6 +92,17 @@ class TestWordlist:
         with pytest.raises(ValueError, match="entry 2: password must not be empty"):
             Wordlist.load(path)
 
+    def test_load_names_the_line_of_bad_bytes_or_a_carriage_return(self, tmp_path):
+        path = tmp_path / "words.txt"
+        for data, message in ((b"a\n\xff\xfe\n", "line 2: not UTF-8"),
+                              (b"\xffa\n", "line 1: not UTF-8"),
+                              (b"a\nb\nc\xe9\n", "line 3: not UTF-8"),
+                              (b"a\nb\r\nc\n", "line 2: carriage return"),
+                              (b"a\rb\r", "line 1: carriage return")):
+            path.write_bytes(data)
+            with pytest.raises(ValueError, match=message):
+                Wordlist.load(path)
+
     def test_load_reads_only_a_regular_file(self, tmp_path):
         fifo = tmp_path / "words.fifo"
         os.mkfifo(fifo)  # reading it would block with no writer

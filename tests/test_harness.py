@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from cardauthsim import harness
 from cardauthsim.adversary import CardSecrets
-from cardauthsim.blocks import digest, xor
+from cardauthsim.blocks import BLOCK_LEN, digest, xor
 from cardauthsim.harness import (
     SCENARIOS,
     WORDLIST_SCENARIOS,
@@ -30,6 +30,7 @@ from cardauthsim.scheme import (
     BadAuthenticator,
     LoginRequest,
     ServerResponse,
+    SmartCard,
     UserSession,
     proof,
     verify_mutual_auth,
@@ -212,6 +213,46 @@ class TestScenarios:
         # every trip shape the scenarios use was checked
         assert shapes == {("send", "deliver"), ("send", "intercept", "deliver"),
                                ("send", "drop")}
+
+    def test_every_block_value_is_exact_bytes(self, monkeypatch):
+        # card fields, wire authenticators, session secrets and the scan's
+        # secret, on every scenario's path: a bytes subclass or a wrong
+        # width anywhere fails here
+        seen, cards = Counter(), []
+
+        def check(kind, *values):
+            for value in values:
+                assert type(value) is bytes and len(value) == BLOCK_LEN, (kind, value)
+            seen[kind] += 1
+
+        def watch(owner, name, after):
+            original = getattr(owner, name)
+
+            def wrapper(*args):
+                result = original(*args)
+                after(result, *args)
+                return result
+            monkeypatch.setattr(owner, name, wrapper)
+
+        def card_fields(card):
+            check("card", card.verifier, card.masked_verifier, card.salt)
+
+        def issued(card, *_):
+            cards.append(card)
+            card_fields(card)
+
+        watch(harness, "enroll", issued)
+        watch(SmartCard, "login", lambda result, *_: check(
+            "login", result[0].authenticator, result[1].secret))
+        watch(harness, "message_to_wire", lambda _, message: check("wire", message.authenticator))
+        watch(harness, "offline_guess", lambda found, *_: check("guess", found[1]))
+        for scenario in SCENARIOS:
+            cards.clear()
+            run_scenario(config_for(scenario, seed=42))
+            assert cards, scenario
+            for card in cards:  # again, after any password change
+                card_fields(card)
+        assert set(seen) == {"card", "login", "wire", "guess"}
 
     def test_same_config_gives_identical_bytes(self):
         for scenario in SCENARIOS:
