@@ -25,15 +25,17 @@ from .scheme import (
 )
 
 INSIDER_SUPPLY_VERIFIER = "supply-verifier"
-# An alias of INSIDER_SUPPLY_VERIFIER: whichever recorded value is keyed
-# in, the unmasking lands on the same value, so both modes are one change.
+# An alias of INSIDER_SUPPLY_VERIFIER kept for the transcripts: both labels
+# inject the recorded password digest, since keying in the verifier itself
+# does not unmask the verifier and the card rejects it.
 INSIDER_SUPPLY_DIGEST = "supply-password-digest"
 INSIDER_MODES = (INSIDER_SUPPLY_VERIFIER, INSIDER_SUPPLY_DIGEST)
 
 
 def read_text(path: str | Path) -> str:
     """The one reader of an input file: the strict UTF-8 text of a regular
-    file. OSError: unreadable or not a regular file; UnicodeDecodeError."""
+    file. OSError: unreadable or not a regular file; ValueError: bytes that
+    are not UTF-8, naming the line."""
     try:
         # checked before opening: a FIFO would block and a device never end
         if not stat.S_ISREG(os.stat(path).st_mode):
@@ -41,7 +43,11 @@ def read_text(path: str | Path) -> str:
         data = Path(path).read_bytes()
     except ValueError as exc:  # the OS call refuses a path with a NUL or a lone surrogate
         raise OSError(f"unusable path {path!r}: {exc}") from None
-    return data.decode("utf-8")
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"line {line}: not UTF-8 ({exc.reason})") from None
 
 
 class CardSecrets(NamedTuple):
@@ -89,11 +95,7 @@ class Wordlist(tuple):
         """Read a UTF-8 wordlist file, one password per line, no blank lines, no
         carriage returns; the final newline may be left out. Entry n is line n.
         OSError: unreadable or not a regular file; ValueError: malformed, naming the line."""
-        try:
-            text = read_text(path)
-        except UnicodeDecodeError as exc:
-            line = exc.object.count(b"\n", 0, exc.start) + 1
-            raise ValueError(f"line {line}: not UTF-8 ({exc.reason})") from None
+        text = read_text(path)
         if "\r" in text:
             line = text.count("\n", 0, text.index("\r")) + 1
             raise ValueError(f"line {line}: carriage return")
@@ -137,12 +139,12 @@ def insider_change_password(card: SmartCard, record: RegistrationRecord,
                             new_password: str, mode: str = INSIDER_SUPPLY_VERIFIER) -> None:
     """Hijack a card's password with registration-time knowledge only.
 
-    The insider bypasses the reader's hash entry and injects recorded
-    registration material in place of the keyed-password digest; whether
-    the verifier or the password digest is keyed in, the unmasking lands
-    on the same value. The card's own change phase runs on it, so the
-    injection goes stale and is rejected once the user has changed the
-    password since registration.
+    The insider bypasses the reader's hash entry and injects the recorded
+    password digest in place of the keyed-password digest, in either mode:
+    keying in the verifier itself would not unmask the verifier, and the
+    card would reject it. The card's own change phase runs on the digest,
+    so the injection goes stale and is rejected once the user has changed
+    the password since registration.
     """
     if mode not in INSIDER_MODES:
         raise ValueError(f"unknown insider entry mode: {mode!r}")

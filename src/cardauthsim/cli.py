@@ -18,7 +18,6 @@ from .harness import (
     ScenarioConfig,
     ScenarioError,
     Transcript,
-    TranscriptParseError,
     _dumps,
     replay_transcript,
     run_scenario,
@@ -66,14 +65,9 @@ def _render_human(transcript: Transcript) -> str:
 
 
 def _cmd_demo(args) -> int:
-    try:
-        config = ScenarioConfig(scenario=args.scenario, seed=args.seed,
-                                window=args.window, dictionary_path=args.dictionary)
-        transcript = run_scenario(config)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
+    config = ScenarioConfig(scenario=args.scenario, seed=args.seed,
+                            window=args.window, dictionary_path=args.dictionary)
+    transcript = run_scenario(config)
     rendered = transcript.to_jsonl() if args.format == "json" else _render_human(transcript)
     if args.out:
         try:
@@ -97,9 +91,6 @@ def _cmd_replay(args) -> int:
     except ReplayMismatch as exc:
         print(f"mismatch at seq {exc.seq}")
         return 1
-    except (TranscriptParseError, ScenarioError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     print(f"verified ({count} events)")
     return 0
 
@@ -122,11 +113,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
 
-    if args.command == "demo":
-        return _cmd_demo(args)
-    if args.command == "replay":
-        return _cmd_replay(args)
-    return _cmd_vectors()
+    if args.command == "vectors":
+        return _cmd_vectors()
+    try:
+        return _cmd_demo(args) if args.command == "demo" else _cmd_replay(args)
+    except (ScenarioError, ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

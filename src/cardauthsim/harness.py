@@ -410,13 +410,11 @@ def replay_transcript(path: str | Path) -> int:
     when it is byte for byte what `to_jsonl` writes for that config, line
     endings and final newline included. Returns the number of verified
     events. Raises ReplayMismatch at the first diverging event, OSError
-    when the path is not a readable regular file, TranscriptParseError on
-    a malformed file and ScenarioError when the recorded config cannot run.
+    when the path is not a readable regular file, ValueError naming the
+    line of bytes that are not UTF-8, TranscriptParseError (a ValueError)
+    on a malformed file and ScenarioError when the recorded config cannot run.
     """
-    try:
-        text = read_text(path)
-    except UnicodeDecodeError as exc:
-        raise TranscriptParseError(f"transcript is not UTF-8: {exc}") from None
+    text = read_text(path)
     fresh = run_scenario(Transcript.from_jsonl(text).config)
     fresh_text = fresh.to_jsonl()
     if text != fresh_text:

@@ -254,6 +254,13 @@ class TestInsiderChangePassword:
             insider_change_password(card, record, "evil", mode=mode)
         assert card.masked_verifier == before
 
+    def test_keying_in_the_verifier_is_rejected(self):
+        _, card = _setup()
+        before = card.masked_verifier
+        with pytest.raises(PasswordChangeRejected):
+            card.remask(self._record_for(card).verifier, "evil")
+        assert card.masked_verifier == before
+
     def test_unknown_mode_rejected(self):
         _, card = _setup()
         with pytest.raises(ValueError):

@@ -83,6 +83,12 @@ class TestDemo:
         assert out == ""
         assert main(["replay", str(out_file)]) == 0
 
+    def test_out_that_cannot_be_written_is_error(self, tmp_path, capsys):
+        code = main(["demo", "honest", "--out", str(tmp_path)])
+        _, err = capsys.readouterr()
+        assert code == 1
+        assert err.startswith(f"error: cannot write {tmp_path}")
+
     def test_stdout_identical_across_runs(self, capsys):
         main(["demo", "parallel-session", "--seed", "42"])
         first, _ = capsys.readouterr()

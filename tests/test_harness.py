@@ -432,6 +432,13 @@ class TestReplay:
             replay_transcript(path)
         assert exc.value.seq == 2
 
+    def test_bytes_that_are_not_utf8_name_their_line(self, tmp_path):
+        head = b"".join(GOLDEN.read_bytes().splitlines(keepends=True)[:3])
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(head + b"\xff\n")
+        with pytest.raises(ValueError, match="line 4: not UTF-8"):
+            replay_transcript(path)
+
     def test_edited_seed_diverges_at_first_random_event(self, tmp_path):
         path = self._write(tmp_path, config_for("honest", seed=1))
         lines = path.read_text(encoding="utf-8").split("\n")
