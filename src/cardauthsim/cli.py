@@ -7,6 +7,7 @@ dictionary or malformed transcript, 2 on usage errors.
 """
 
 import argparse
+import contextlib
 import sys
 from pathlib import Path
 
@@ -34,6 +35,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     demo = sub.add_parser("demo", help="run a canned scenario and emit its transcript")
+    demo.set_defaults(run=_cmd_demo)
     demo.add_argument("scenario", choices=sorted(SCENARIOS),
                       help="which scenario to run")
     demo.add_argument("--seed", type=int, default=0,
@@ -49,8 +51,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     replay = sub.add_parser("replay", help="re-run a transcript and verify it matches")
     replay.add_argument("transcript", metavar="FILE")
+    replay.set_defaults(run=_cmd_replay)
 
-    sub.add_parser("vectors", help="print the pinned golden digests")
+    sub.add_parser("vectors", help="print the pinned golden digests").set_defaults(run=_cmd_vectors)
     return parser
 
 
@@ -72,11 +75,11 @@ def _cmd_demo(args) -> int:
     if args.out:
         try:
             Path(args.out).write_text(rendered, encoding="utf-8", newline="\n")
-        except OSError as exc:
+        except (OSError, ValueError) as exc:
             print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
             return 1
     else:
-        sys.stdout.write(rendered)
+        print(rendered, end="", flush=True)
 
     outcome = transcript.outcome()
     print(f"scenario {config.scenario} seed={config.seed} window={config.window} "
@@ -89,17 +92,17 @@ def _cmd_replay(args) -> int:
     try:
         count = replay_transcript(args.transcript)
     except ReplayMismatch as exc:
-        print(f"mismatch at seq {exc.seq}")
+        print(f"mismatch at seq {exc.seq}", flush=True)
         return 1
-    print(f"verified ({count} events)")
+    print(f"verified ({count} events)", flush=True)
     return 0
 
 
-def _cmd_vectors() -> int:
+def _cmd_vectors(args) -> int:
     print(f"block-length {BLOCK_LEN}")
     print("hash sha256")
     for name, hexdigest in sorted(GOLDEN_DIGESTS.items()):
-        print(f"{name} {hexdigest}")
+        print(f"{name} {hexdigest}", flush=True)
     return 0
 
 
@@ -113,12 +116,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
 
-    if args.command == "vectors":
-        return _cmd_vectors()
     try:
-        return _cmd_demo(args) if args.command == "demo" else _cmd_replay(args)
+        return args.run(args)  # each command flushes stdout, so its write errors land here
     except (ScenarioError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        try:  # drop what stdout cannot take, or the interpreter's flush at exit fails again
+            print(end="", flush=True)
+        except (OSError, ValueError):
+            with contextlib.suppress(OSError):  # close closes even when its flush fails
+                sys.stdout.close()
         return 1
 
 

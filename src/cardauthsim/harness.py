@@ -134,24 +134,12 @@ class Event(NamedTuple):
     payload: dict
 
 
-class Transcript:
-    """Ordered event log of one scenario run, with its config embedded.
-    `now` is the run's logical clock from tick 0; it stamps every event."""
+class Transcript(NamedTuple):
+    """Ordered event log of one scenario run, with its config embedded:
+    an immutable record that equal configs make equal."""
 
-    def __init__(self, config: ScenarioConfig):
-        self.config = config
-        self.events: list[Event] = []
-        self.now = 0
-
-    def step(self, ticks: int = 1) -> None:
-        if ticks < 1:
-            raise ValueError("clock only moves forward")
-        self.now += ticks
-
-    def record(self, actor: str, kind: str, payload: dict) -> Event:
-        event = Event(len(self.events), self.now, actor, kind, payload)
-        self.events.append(event)
-        return event
+    config: ScenarioConfig
+    events: tuple[Event, ...]
 
     def outcome(self) -> str:
         """Outcome of the scenario verdict that ends the transcript."""
@@ -182,22 +170,23 @@ class Transcript:
                 # a JSONDecodeError's own line number counts within `line`
                 detail = exc.msg if isinstance(exc, json.JSONDecodeError) else exc
                 raise TranscriptParseError(f"bad JSON on line {number}: {detail}") from None
-        transcript = cls(ScenarioConfig.from_obj(objs[0]))
-        canonical = _dumps(transcript.config.to_obj())
+        config = ScenarioConfig.from_obj(objs[0])
+        canonical = _dumps(config.to_obj())
         if lines[0] != canonical:
             raise TranscriptParseError(f"config line 1 must read exactly {canonical}")
         # the only check of an event line: a run's own transcripts meet it on replay
+        events: list[Event] = []
         for number, obj in enumerate(objs[1:], 2):
             event = Event(*_fields(obj, Event._fields, f"event line {number}"))
-            due = len(transcript.events)
+            due = len(events)
             if not (type(event.seq) is int and event.seq == due and type(event.time) is int
                     and event.actor in ACTORS and event.kind in EVENT_KINDS
                     and isinstance(event.payload, dict)):
                 raise TranscriptParseError(
                     f"event line {number} needs seq {due}, an integer time, a known actor "
                     "and kind, and an object payload")
-            transcript.events.append(event)
-        return transcript
+            events.append(event)
+        return cls(config, tuple(events))
 
 
 def _random_password(rng: random.Random) -> str:
@@ -206,17 +195,17 @@ def _random_password(rng: random.Random) -> str:
 
 
 class _Run:
-    """State threaded through one scenario script.
-
-    All randomness comes from one seeded generator, drawn in a fixed
-    order: master secret, card salt, then the victim password (picked
-    from the wordlist when the scenario uses one).
-    """
+    """State threaded through one scenario script. The run owns the clock
+    `now`, from tick 0, and stamps each event it records; all randomness
+    comes from one seeded generator, drawn in a fixed order: master secret,
+    card salt, then the victim password (picked from the wordlist when the
+    scenario uses one)."""
 
     def __init__(self, config: ScenarioConfig):
         self.config = config
         self.rng = random.Random(config.seed)
-        self.transcript = Transcript(config)
+        self.now = 0
+        self.events: list[Event] = []
         self.sent = 0
         self.server = AuthServer(Block(self.rng.randbytes(BLOCK_LEN)))
         self.salt = Block(self.rng.randbytes(BLOCK_LEN))
@@ -235,6 +224,9 @@ class _Run:
 
     # -- event helpers -------------------------------------------------
 
+    def record(self, actor: str, kind: str, payload: dict) -> None:
+        self.events.append(Event(len(self.events), self.now, actor, kind, payload))
+
     def transmit(self, sender: str, message, receiver: Optional[str] = None,
                  tap: bool = False) -> None:
         """One whole trip of `message` over the wire: `sender` sends it,
@@ -244,17 +236,17 @@ class _Run:
         never alters a message, so the receiver acts on `message` itself."""
         self.sent += 1
         payload = {"msg_id": self.sent, "message": message_to_wire(message)}
-        self.transcript.record(sender, "send", payload)
+        self.record(sender, "send", payload)
         if tap:
-            self.transcript.record("intruder", "intercept", payload)
+            self.record("intruder", "intercept", payload)
         if receiver is None:
-            self.transcript.record("intruder", "drop", payload)
+            self.record("intruder", "drop", payload)
         else:
-            self.transcript.step()
-            self.transcript.record(receiver, "deliver", payload)
+            self.now += 1
+            self.record(receiver, "deliver", payload)
 
     def note(self, actor: str, action: str, **detail) -> None:
-        self.transcript.record(actor, "state-change", {"action": action, **detail})
+        self.record(actor, "state-change", {"action": action, **detail})
 
     def run_check(self, actor: str, check: str, step: Callable, **detail):
         """Run one protocol check and record its verdict.
@@ -268,13 +260,13 @@ class _Run:
             result = step()
         except ProtocolRejection as exc:
             payload.update(outcome="reject", reason=exc.reason)
-        self.transcript.record(actor, "verdict", payload)
+        self.record(actor, "verdict", payload)
         return payload["outcome"] == "accept", result
 
     def scenario_verdict(self, outcome: str) -> Transcript:
-        self.transcript.record("harness", "verdict", {"check": "scenario", "outcome": outcome,
-                                                      "scenario": self.config.scenario})
-        return self.transcript
+        self.record("harness", "verdict", {"check": "scenario", "outcome": outcome,
+                                           "scenario": self.config.scenario})
+        return Transcript(self.config, tuple(self.events))
 
     def attack_verdict(self, succeeded: bool) -> Transcript:
         return self.scenario_verdict("attack-succeeded" if succeeded else "attack-failed")
@@ -290,7 +282,7 @@ class _Run:
 
     def server_verify(self, request: LoginRequest) -> Optional[ServerResponse]:
         _, response = self.run_check("server", "login", lambda: self.server.verify_login(
-            request, self.transcript.now, self.config.window))
+            request, self.now, self.config.window))
         return response
 
     def login_roundtrip(self, card: SmartCard, password: str, *, by_intruder: bool = False,
@@ -302,7 +294,7 @@ class _Run:
         the user, send and receive; `tap_*` make it copy messages in flight.
         """
         sender, receiver = ("intruder", "intruder") if by_intruder else ("card", "user")
-        request, session = card.login(VICTIM_ID, password, self.transcript.now)
+        request, session = card.login(VICTIM_ID, password, self.now)
         self.transmit(sender, request, "server", tap=tap_request)
         response = self.server_verify(request)
         if response is None:
@@ -318,7 +310,7 @@ class _Run:
         password: the victim's password is drawn from the wordlist and
         distinct words give distinct proofs, so the scan always finds it."""
         card = self.register_victim()
-        self.transcript.step(10)
+        self.now += 10
         request, _, _ = self.login_roundtrip(card, self.victim_password, tap_request=True)
         secrets = CardSecrets.from_card(card)
         self.note("intruder", "breach-card-secrets",
@@ -335,9 +327,9 @@ class _Run:
         login with the victim's password and one with the attacker's.
         The attack succeeds when only the attacker gets in."""
         changed, _ = self.run_check("card", "password-change", change, by="intruder", **detail)
-        self.transcript.step()
+        self.now += 1
         *_, victim_ok = self.login_roundtrip(card, self.victim_password)
-        self.transcript.step()
+        self.now += 1
         *_, attacker_ok = self.login_roundtrip(card, ATTACKER_PASSWORD, by_intruder=True)
         return self.attack_verdict(changed and not victim_ok and attacker_ok)
 
@@ -347,7 +339,7 @@ class _Run:
 
 def _scenario_honest(run: _Run) -> Transcript:
     card = run.register_victim()
-    run.transcript.step(10)
+    run.now += 10
     *_, accepted = run.login_roundtrip(card, run.victim_password)
     return run.scenario_verdict("accepted" if accepted else "rejected")
 
@@ -359,7 +351,7 @@ def _scenario_offline_guess(run: _Run) -> Transcript:
 
 def _scenario_outsider_change(run: _Run) -> Transcript:
     card, password = run.steal_password()
-    run.transcript.step()
+    run.now += 1
     return run.hijack(card, lambda: outsider_change_password(card, password, ATTACKER_PASSWORD))
 
 
@@ -371,14 +363,14 @@ def _scenario_insider_change(run: _Run) -> Transcript:
              password_digest=record.password_digest.hex(),
              verifier=record.verifier.hex(),
              masked_verifier=record.masked_verifier.hex())
-    run.transcript.step(10)
+    run.now += 10
     return run.hijack(card, lambda: insider_change_password(card, record, ATTACKER_PASSWORD),
                       mode=INSIDER_SUPPLY_VERIFIER)
 
 
 def _scenario_parallel_session(run: _Run) -> Transcript:
     card = run.register_victim()
-    run.transcript.step(10)
+    run.now += 10
     request, response, _ = run.login_roundtrip(card, run.victim_password,
                                                tap_request=True, tap_response=True)
     forged = forge_parallel_login(request, response)

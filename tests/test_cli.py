@@ -1,5 +1,6 @@
 """Command-line behaviour: exit codes, output streams, file round trips."""
 
+import io
 import json
 import os
 import subprocess
@@ -83,11 +84,14 @@ class TestDemo:
         assert out == ""
         assert main(["replay", str(out_file)]) == 0
 
-    def test_out_that_cannot_be_written_is_error(self, tmp_path, capsys):
-        code = main(["demo", "honest", "--out", str(tmp_path)])
-        _, err = capsys.readouterr()
-        assert code == 1
-        assert err.startswith(f"error: cannot write {tmp_path}")
+    def test_out_that_cannot_be_written_is_error(self, tmp_path, monkeypatch):
+        # a directory, and two strings that cannot name a file at all; a
+        # StringIO takes the lone surrogate that a process's stderr escapes
+        for path in (str(tmp_path), "a\u0000b", "\ud800"):
+            monkeypatch.setattr(sys, "stderr", io.StringIO())
+            code = main(["demo", "honest", "--out", path])
+            assert code == 1, path
+            assert sys.stderr.getvalue().startswith(f"error: cannot write {path}"), path
 
     def test_stdout_identical_across_runs(self, capsys):
         main(["demo", "parallel-session", "--seed", "42"])
@@ -192,6 +196,33 @@ class TestReplayCommand:
             _, err = capsys.readouterr()
             assert code == 1, data
             assert err.startswith("error: "), data
+
+
+class FullStdout(io.StringIO):
+    def write(self, text):
+        raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("argv", [["demo", "honest"], ["replay", str(GOLDEN)], ["vectors"]],
+                         ids=lambda argv: argv[0])
+def test_stdout_that_cannot_be_written_is_error(argv, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdout", FullStdout())
+    code = main(argv)
+    _, err = capsys.readouterr()
+    assert code == 1
+    assert err.startswith("error: ")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_stdout_of_a_process_is_error():
+    # a process's stdout is buffered, so a full device fails only at a flush;
+    # one left to the interpreter's exit would print a warning and exit 120
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    with open("/dev/full", "w") as full:
+        result = subprocess.run([sys.executable, "-m", "cardauthsim.cli", "vectors"],
+                                stdout=full, stderr=subprocess.PIPE, text=True, timeout=10,
+                                env={**env, "PYTHONPATH": SRC})
+    assert (result.returncode, result.stderr) == (1, "error: [Errno 28] No space left on device\n")
 
 
 class TestVectors:

@@ -89,29 +89,25 @@ def assert_channel_conserved(transcript):
 
 
 class TestClock:
-    def test_starts_at_zero_and_steps(self):
-        transcript = Transcript(config_for("honest"))
-        assert transcript.now == 0
-        transcript.step()
-        transcript.step(9)
-        assert transcript.now == 10
-        assert transcript.record("server", "state-change", {"action": "x"}).time == 10
+    """The run owns the logical clock and stamps each event it records."""
 
-    def test_never_rewinds(self):
-        transcript = Transcript(config_for("honest"))
-        for bad in (0, -1):
-            with pytest.raises(ValueError):
-                transcript.step(bad)
-        assert transcript.now == 0
+    def test_starts_at_zero_and_steps(self):
+        run = harness._Run(config_for("honest"))
+        assert (run.now, run.events) == (0, [])
+        run.now += 10
+        run.record("server", "state-change", {"action": "x"})
+        assert run.events[-1].time == run.now == 10
+
+    def test_record_stamps_now_with_seq_equal_to_position(self):
+        run = harness._Run(config_for("honest"))
+        for tick in range(5):
+            run.now += tick
+            run.record("server", "state-change", {"action": "x"})
+        assert [(event.seq, event.time) for event in run.events] == [
+            (0, 0), (1, 1), (2, 3), (3, 6), (4, 10)]
 
 
 class TestTranscript:
-    def test_seq_strictly_increases(self):
-        transcript = Transcript(config_for("honest"))
-        for i in range(5):
-            event = transcript.record("server", "state-change", {"action": "x"})
-            assert event.seq == i
-
     def test_jsonl_round_trip(self):
         transcript = run_scenario(config_for("honest", seed=3))
         text = transcript.to_jsonl()

@@ -1,12 +1,12 @@
-"""Value records: the wire messages, card and config records are
-immutable, the config keeps its defaults, and the two mutable objects
-(the card and the transcript) keep their state per instance."""
+"""Value records: the wire messages, card, config and transcript records
+are immutable, the config keeps its defaults, and the two mutable objects
+(the card and the scenario run) keep their state per instance."""
 
 import pytest
 
 from cardauthsim.adversary import CardSecrets, RegistrationRecord
 from cardauthsim.blocks import ONES_BLOCK, ZERO_BLOCK, Block, xor
-from cardauthsim.harness import Event, ScenarioConfig, ScenarioError, Transcript
+from cardauthsim.harness import Event, ScenarioConfig, ScenarioError, Transcript, _Run
 from cardauthsim.scheme import (
     DEFAULT_WINDOW,
     AuthServer,
@@ -27,6 +27,7 @@ FROZEN = [
     RegistrationRecord(ZERO_BLOCK, ONES_BLOCK, SALT),
     Event(0, 0, "server", "state-change", {"action": "x"}),
     ScenarioConfig("honest"),
+    Transcript(ScenarioConfig("honest"), ()),
 ]
 
 
@@ -52,11 +53,12 @@ def test_config_replace_runs_the_checks():
         ScenarioConfig("honest")._replace(seed=-1)
 
 
-def test_transcripts_do_not_share_their_events():
-    first, second = Transcript(ScenarioConfig("honest")), Transcript(ScenarioConfig("honest"))
+def test_runs_do_not_share_their_events():
+    first, second = _Run(ScenarioConfig("honest")), _Run(ScenarioConfig("honest"))
+    first.now += 1
     first.record("server", "state-change", {"action": "x"})
     assert (len(first.events), len(second.events)) == (1, 0)
-    assert (first.now, second.now) == (0, 0)
+    assert (first.now, second.now) == (1, 0)
 
 
 def test_change_password_mutates_the_card_in_place():
