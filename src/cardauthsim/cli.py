@@ -1,9 +1,12 @@
 """Command-line front end: run scenarios, replay transcripts, print vectors.
 
-Exit codes: 0 when the honest scenario accepts or an attack scenario
-succeeds (this tool exists to demonstrate the attacks, so success is the
-expected outcome), 1 on a contrary outcome, I/O failure, malformed
-dictionary or malformed transcript, 2 on usage errors.
+Each command returns its exit status, stdout text and stderr text, and
+`main` alone writes them. Exit codes: 0 when the honest scenario accepts
+or an attack scenario succeeds (this tool exists to demonstrate the
+attacks, so success is the expected outcome), 1 on a contrary outcome,
+an I/O failure (output that stdout cannot take, or no stdout at all),
+a malformed dictionary or transcript, or a vector whose digest differs
+from its pin, 2 on usage errors.
 """
 
 import argparse
@@ -11,7 +14,7 @@ import contextlib
 import sys
 from pathlib import Path
 
-from .blocks import BLOCK_LEN, GOLDEN_DIGESTS
+from .blocks import BLOCK_LEN, GOLDEN_DIGESTS, ONES_BLOCK, ZERO_BLOCK, digest
 from .harness import (
     SCENARIOS,
     WORDLIST_SCENARIOS,
@@ -67,7 +70,7 @@ def _render_human(transcript: Transcript) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_demo(args) -> int:
+def _cmd_demo(args) -> tuple[int, str, str]:
     config = ScenarioConfig(scenario=args.scenario, seed=args.seed,
                             window=args.window, dictionary_path=args.dictionary)
     transcript = run_scenario(config)
@@ -76,34 +79,30 @@ def _cmd_demo(args) -> int:
         try:
             Path(args.out).write_text(rendered, encoding="utf-8", newline="\n")
         except (OSError, ValueError) as exc:
-            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-            return 1
-    else:
-        print(rendered, end="", flush=True)
-
+            raise OSError(f"cannot write {args.out}: {exc}") from None
+        rendered = ""
     outcome = transcript.outcome()
-    print(f"scenario {config.scenario} seed={config.seed} window={config.window} "
-          f"events={len(transcript.events)}", file=sys.stderr)
-    print(outcome, file=sys.stderr)
-    return 0 if outcome in PASSING_OUTCOMES else 1
+    summary = (f"scenario {config.scenario} seed={config.seed} window={config.window} "
+               f"events={len(transcript.events)}\n{outcome}\n")
+    return (0 if outcome in PASSING_OUTCOMES else 1), rendered, summary
 
 
-def _cmd_replay(args) -> int:
+def _cmd_replay(args) -> tuple[int, str, str]:
     try:
         count = replay_transcript(args.transcript)
     except ReplayMismatch as exc:
-        print(f"mismatch at seq {exc.seq}", flush=True)
-        return 1
-    print(f"verified ({count} events)", flush=True)
-    return 0
+        return 1, f"mismatch at seq {exc.seq}\n", ""
+    return 0, f"verified ({count} events)\n", ""
 
 
-def _cmd_vectors(args) -> int:
-    print(f"block-length {BLOCK_LEN}")
-    print("hash sha256")
-    for name, hexdigest in sorted(GOLDEN_DIGESTS.items()):
-        print(f"{name} {hexdigest}", flush=True)
-    return 0
+def _cmd_vectors(args) -> tuple[int, str, str]:
+    lines = [f"block-length {BLOCK_LEN}", "hash sha256"]
+    for name, block in (("ones-block", ONES_BLOCK), ("zero-block", ZERO_BLOCK)):
+        computed, pinned = digest(block).hex(), GOLDEN_DIGESTS[name]
+        if computed != pinned:
+            raise ValueError(f"vector {name}: digest {computed}, pinned {pinned}")
+        lines.append(f"{name} {computed}")
+    return 0, "\n".join(lines) + "\n", ""
 
 
 def main(argv=None) -> int:
@@ -116,16 +115,27 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
 
-    try:
-        return args.run(args)  # each command flushes stdout, so its write errors land here
+    try:  # each command returns its output; this is the one place that writes it
+        status, out, err = args.run(args)
+        if out:
+            if sys.stdout is None:  # fd 1 was closed when the process started
+                raise OSError("no standard output")
+            sys.stdout.write(out)
+            sys.stdout.flush()
     except (ScenarioError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        status, err = 1, f"error: {exc}\n"
         try:  # drop what stdout cannot take, or the interpreter's flush at exit fails again
-            print(end="", flush=True)
+            if sys.stdout is not None:
+                sys.stdout.flush()
         except (OSError, ValueError):
             with contextlib.suppress(OSError):  # close closes even when its flush fails
                 sys.stdout.close()
-        return 1
+    if err and sys.stderr is not None:
+        try:
+            sys.stderr.write(err)
+        except UnicodeEncodeError:  # a strict stderr: again, with non-ASCII escaped
+            sys.stderr.write(err.encode("ascii", "backslashreplace").decode("ascii"))
+    return status
 
 
 if __name__ == "__main__":

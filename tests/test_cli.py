@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from cardauthsim.blocks import GOLDEN_DIGESTS
+from cardauthsim import blocks, cli
+from cardauthsim.blocks import BLOCK_LEN, GOLDEN_DIGESTS, ZERO_BLOCK
 from cardauthsim.cli import main
 
 DICT_PATH = str(Path(__file__).parent.parent / "data" / "dictionary.txt")
@@ -92,6 +93,17 @@ class TestDemo:
             code = main(["demo", "honest", "--out", path])
             assert code == 1, path
             assert sys.stderr.getvalue().startswith(f"error: cannot write {path}"), path
+
+    def test_error_line_survives_a_strict_stderr(self, monkeypatch):
+        # a stderr that encodes strictly cannot take the lone surrogate, so
+        # the line is written again with it escaped, path and all
+        stderr = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors="strict")
+        monkeypatch.setattr(sys, "stderr", stderr)
+        assert main(["demo", "honest", "--out", "\ud800"]) == 1
+        stderr.flush()
+        assert stderr.buffer.getvalue().startswith(b"error: cannot write \\ud800: ")
+        monkeypatch.setattr(sys, "stderr", None)
+        assert main(["demo", "honest", "--out", "\ud800"]) == 1
 
     def test_stdout_identical_across_runs(self, capsys):
         main(["demo", "parallel-session", "--seed", "42"])
@@ -213,6 +225,14 @@ def test_stdout_that_cannot_be_written_is_error(argv, monkeypatch, capsys):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv", [["replay", str(GOLDEN)], ["vectors"]],
+                         ids=lambda argv: argv[0])
+def test_command_with_nothing_for_stderr_never_writes_it(argv, monkeypatch, capsys):
+    # so a stderr that cannot be written fails only what has something to say
+    monkeypatch.setattr(sys, "stderr", FullStdout())
+    assert main(argv) == 0
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 def test_full_stdout_of_a_process_is_error():
     # a process's stdout is buffered, so a full device fails only at a flush;
@@ -225,6 +245,25 @@ def test_full_stdout_of_a_process_is_error():
     assert (result.returncode, result.stderr) == (1, "error: [Errno 28] No space left on device\n")
 
 
+@pytest.mark.parametrize("argv, status", [
+    (["demo", "honest"], 1), (["replay", str(GOLDEN)], 1), (["vectors"], 1),
+    (["demo", "honest", "--out", "OUT"], 0)], ids=["demo", "replay", "vectors", "demo-out"])
+def test_process_with_stdout_closed(argv, status, tmp_path):
+    # with fd 1 closed at start-up, sys.stdout is None: output that has
+    # nowhere to go is an error, and --out needs no stdout
+    out_file = tmp_path / "t.jsonl"
+    argv = [str(out_file) if arg == "OUT" else arg for arg in argv]
+    result = subprocess.run([sys.executable, "-m", "cardauthsim.cli", *argv],
+                            preexec_fn=lambda: os.close(1), stderr=subprocess.PIPE, text=True,
+                            timeout=10, env={**os.environ, "PYTHONPATH": SRC})
+    assert result.returncode == status, result.stderr
+    if status:
+        assert result.stderr == "error: no standard output\n"
+    else:
+        assert result.stderr.endswith("\naccepted\n")
+        assert main(["replay", str(out_file)]) == 0
+
+
 class TestVectors:
     def test_prints_pinned_digests(self, capsys):
         code = main(["vectors"])
@@ -232,6 +271,19 @@ class TestVectors:
         assert code == 0
         for name, hexdigest in GOLDEN_DIGESTS.items():
             assert f"{name} {hexdigest}" in out
+
+    def test_digest_that_differs_from_its_pin_is_error(self, monkeypatch, capsys):
+        assert main(["vectors"]) == 0
+        assert capsys.readouterr().out == (
+            f"block-length {BLOCK_LEN}\nhash sha256\nones-block {GOLDEN_DIGESTS['ones-block']}\n"
+            f"zero-block {GOLDEN_DIGESTS['zero-block']}\n")
+        monkeypatch.setattr(cli, "digest", lambda block: bytes(BLOCK_LEN) if block == ZERO_BLOCK
+                            else blocks.digest(block))
+        code = main(["vectors"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (1, "")
+        assert err == (f"error: vector zero-block: digest {'00' * BLOCK_LEN}, "
+                       f"pinned {GOLDEN_DIGESTS['zero-block']}\n")
 
 
 class TestUsage:

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import random
 from collections import Counter
 from pathlib import Path
 
@@ -105,6 +106,57 @@ class TestClock:
             run.record("server", "state-change", {"action": "x"})
         assert [(event.seq, event.time) for event in run.events] == [
             (0, 0), (1, 1), (2, 3), (3, 6), (4, 10)]
+
+
+class RecordingRandom(random.Random):
+    """A `random.Random` that keeps every byte and index draw it makes."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.draws = []
+
+    def randbytes(self, n):
+        value = super().randbytes(n)
+        self.draws.append(value.hex())
+        return value
+
+    def randrange(self, *args):
+        value = super().randrange(*args)
+        self.draws.append(value)
+        return value
+
+
+SEED_0_SECRETS = ("cd072cd8be6f9f62ac4c09c28206e7e35594aa6b342f5d0a3a5e4842fab428f7",
+                  "62e6e282e5c1657c78c3a967b36711eb3906a7c8603d71d409e7a54d87bdc1f7")
+SEED_42_SECRETS = ("9d79b1a37f31801cd11a6706fb40d6bd57526846903bb13ede562439e9c1b823",
+                   "a96089bca71f3d1a6d2d3cadb3669cbd50e165e434249d8b829f411669842a97")
+
+
+class TestDraws:
+    """Every transcript, the golden file included, rests on these draws.
+    Python promises a stable sequence from `random()` only, not from
+    `randbytes` or `randrange`, so a release that changes either must fail
+    here by name rather than as a mismatch at some seq."""
+
+    @pytest.mark.parametrize("scenario, seed, secrets, last, password", [
+        ("honest", 0, SEED_0_SECRETS, ("victim password bytes", "0442027aaf1fa95b5895"),
+         "e4co55ztqf"),
+        ("honest", 42, SEED_42_SECRETS, ("victim password bytes", "9911036cf3e82208a007"),
+         "jrda1q8iqh"),
+        ("offline-guess", 0, SEED_0_SECRETS, ("wordlist index", 488), "killer99"),
+        ("offline-guess", 42, SEED_42_SECRETS, ("wordlist index", 432), "soccer7"),
+    ])
+    def test_first_draws_are_pinned(self, monkeypatch, scenario, seed, secrets, last, password):
+        monkeypatch.setattr(harness.random, "Random", RecordingRandom)
+        run = harness._Run(config_for(scenario, seed=seed))
+        # each draw as made, and as the run keeps it
+        pinned = [("master secret", secrets[0], secrets[0]), ("salt", secrets[1], secrets[1]),
+                  (*last, password)]
+        kept = (run.server.master_secret.hex(), run.salt.hex(), run.victim_password)
+        assert len(run.rng.draws) == len(pinned), run.rng.draws
+        for (name, *want), *got in zip(pinned, run.rng.draws, kept):
+            assert got == want, (f"{scenario} seed {seed}: draw {name} drawn and kept as "
+                                 f"{got}, pinned as {want}")
 
 
 class TestTranscript:
