@@ -32,14 +32,24 @@ INSIDER_SUPPLY_DIGEST = "supply-password-digest"
 INSIDER_MODES = (INSIDER_SUPPLY_VERIFIER, INSIDER_SUPPLY_DIGEST)
 
 
+# Far above the shipped 9.7 kB wordlist, a 10 000-word list (about 130 kB) and
+# any transcript this program writes.
+MAX_INPUT_BYTES = 16 * 2**20
+
+
 def read_text(path: str | Path) -> str:
     """The one reader of an input file: the strict UTF-8 text of a regular
-    file. OSError: unreadable or not a regular file; ValueError: bytes that
-    are not UTF-8, naming the line."""
+    file of at most MAX_INPUT_BYTES. OSError: unreadable, not a regular file
+    or too large; ValueError: bytes that are not UTF-8, naming the line."""
     try:
-        # checked before opening: a FIFO would block and a device never end
-        if not stat.S_ISREG(os.stat(path).st_mode):
+        # checked before opening: a FIFO would block, a device never end and
+        # a huge file not fit in memory
+        info = os.stat(path)
+        if not stat.S_ISREG(info.st_mode):
             raise OSError(f"not a regular file: {path}")
+        if info.st_size > MAX_INPUT_BYTES:
+            raise OSError(f"{path} is {info.st_size} bytes, over the "
+                          f"{MAX_INPUT_BYTES}-byte limit for an input file")
         data = Path(path).read_bytes()
     except ValueError as exc:  # the OS call refuses a path with a NUL or a lone surrogate
         raise OSError(f"unusable path {path!r}: {exc}") from None
@@ -117,9 +127,10 @@ def offline_guess(secrets: CardSecrets, request: LoginRequest,
     """
     # `scheme.proof` inlined: the stamp is folded once per scan, not per candidate
     stamp = encode_timestamp(request.timestamp)
+    masked, salt, target = secrets.masked_verifier, secrets.salt, request.authenticator
     for word in wordlist:
-        candidate = xor(secrets.masked_verifier, password_digest(word, secrets.salt))
-        if digest(xor(candidate, stamp)) == request.authenticator:
+        candidate = xor(masked, password_digest(word, salt))
+        if digest(xor(candidate, stamp)) == target:
             return word, candidate
     return None
 

@@ -7,7 +7,7 @@ clock ticks are folded into the domain by `encode_*`, which prefixes a
 type tag so different kinds of value can never collide.
 """
 
-import hashlib
+from hashlib import sha256
 
 BLOCK_LEN = 32
 
@@ -41,22 +41,21 @@ ZERO_BLOCK = bytes(BLOCK_LEN)
 ONES_BLOCK = b"\xff" * BLOCK_LEN
 
 
-def _hash(data: bytes) -> bytes:
-    return hashlib.sha256(data).digest()
-
-
 def digest(block: bytes) -> bytes:
     """One-way function over a block, realised as SHA-256."""
     if len(block) != BLOCK_LEN:
         raise ValueError(f"digest input must be a {BLOCK_LEN}-byte block")
-    return _hash(block)
+    return sha256(block).digest()
+
+
+_from_bytes = int.from_bytes
 
 
 def xor(a: bytes, b: bytes) -> bytes:
-    """Byte-wise XOR of two blocks, computed on them as big-endian integers."""
+    """Byte-wise XOR of two blocks, computed on them as little-endian integers."""
     if len(a) != BLOCK_LEN or len(b) != BLOCK_LEN:
         raise ValueError(f"xor operands must be {BLOCK_LEN}-byte blocks")
-    return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(BLOCK_LEN, "big")
+    return (_from_bytes(a, "little") ^ _from_bytes(b, "little")).to_bytes(BLOCK_LEN, "little")
 
 
 def validate_identity(identity: str) -> str:
@@ -80,18 +79,18 @@ def validate_password(password: str) -> str:
 
 
 def encode_identity(identity: str) -> bytes:
-    return _hash(_IDENTITY_TAG + validate_identity(identity).encode("ascii"))
+    return sha256(_IDENTITY_TAG + validate_identity(identity).encode("ascii")).digest()
 
 
 def encode_password(password: str) -> bytes:
-    return _hash(_PASSWORD_TAG + validate_password(password).encode("utf-8"))
+    return sha256(_PASSWORD_TAG + validate_password(password).encode("utf-8")).digest()
 
 
 def encode_timestamp(ticks: int) -> bytes:
     """Fold a logical clock reading into the block domain."""
     if not 0 <= ticks < TIMESTAMP_LIMIT:
         raise ValueError("timestamp out of range")
-    return _hash(_TIMESTAMP_TAG + ticks.to_bytes(8, "big"))
+    return sha256(_TIMESTAMP_TAG + ticks.to_bytes(8, "big")).digest()
 
 
 def encode_registered_identity(identity: str, counter: int) -> bytes:
@@ -103,4 +102,4 @@ def encode_registered_identity(identity: str, counter: int) -> bytes:
     if counter < 0 or counter >= 2**32:
         raise ValueError("registration counter out of range")
     ident = validate_identity(identity).encode("ascii")
-    return _hash(_REGISTRATION_TAG + ident + counter.to_bytes(4, "big"))
+    return sha256(_REGISTRATION_TAG + ident + counter.to_bytes(4, "big")).digest()

@@ -1,16 +1,18 @@
 """Command-line front end: run scenarios, replay transcripts, print vectors.
 
-Each command returns its exit status, stdout text and stderr text, and
-`main` alone writes them. Exit codes: 0 when the honest scenario accepts
-or an attack scenario succeeds (this tool exists to demonstrate the
-attacks, so success is the expected outcome), 1 on a contrary outcome,
-an I/O failure (output that stdout cannot take, or no stdout at all),
-a malformed dictionary or transcript, or a vector whose digest differs
-from its pin, 2 on usage errors.
+Each command, and argparse's help and usage errors, returns its exit
+status, stdout text and stderr text, and `main` alone writes them. Exit
+codes: 0 when the honest scenario accepts or an attack scenario succeeds
+(this tool exists to demonstrate the attacks, so success is the expected
+outcome), 1 on a contrary outcome, an I/O failure (output that stdout
+cannot take, no stdout at all, or stderr text that cannot be written), a
+malformed dictionary or transcript, or a vector whose digest differs from
+its pin, 2 on usage errors.
 """
 
 import argparse
 import contextlib
+import io
 import sys
 from pathlib import Path
 
@@ -105,18 +107,34 @@ def _cmd_vectors(args) -> tuple[int, str, str]:
     return 0, "\n".join(lines) + "\n", ""
 
 
-def main(argv=None) -> int:
+def _run(argv) -> tuple[int, str, str]:
+    """Parse `argv` and run its command. argparse writes its help and usage
+    errors itself; they are captured and returned like a command's output."""
     parser = build_parser()
+    out, err = io.StringIO(), io.StringIO()
     try:
-        args = parser.parse_args(argv)
-        if (args.command == "demo" and args.scenario in WORDLIST_SCENARIOS
-                and not args.dictionary):
-            parser.error(f"scenario {args.scenario!r} requires --dictionary")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            args = parser.parse_args(argv)
+            if (args.command == "demo" and args.scenario in WORDLIST_SCENARIOS
+                    and not args.dictionary):
+                parser.error(f"scenario {args.scenario!r} requires --dictionary")
     except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+        return (exc.code if isinstance(exc.code, int) else 2), out.getvalue(), err.getvalue()
+    return args.run(args)
 
+
+def _drop(stream) -> None:
+    """Drop what `stream` could not take, or the interpreter's flush at exit fails again."""
+    try:
+        stream.flush()
+    except (OSError, ValueError):
+        with contextlib.suppress(OSError):  # close closes even when its flush fails
+            stream.close()
+
+
+def main(argv=None) -> int:
     try:  # each command returns its output; this is the one place that writes it
-        status, out, err = args.run(args)
+        status, out, err = _run(argv)
         if out:
             if sys.stdout is None:  # fd 1 was closed when the process started
                 raise OSError("no standard output")
@@ -124,17 +142,18 @@ def main(argv=None) -> int:
             sys.stdout.flush()
     except (ScenarioError, ValueError, OSError) as exc:
         status, err = 1, f"error: {exc}\n"
-        try:  # drop what stdout cannot take, or the interpreter's flush at exit fails again
-            if sys.stdout is not None:
-                sys.stdout.flush()
-        except (OSError, ValueError):
-            with contextlib.suppress(OSError):  # close closes even when its flush fails
-                sys.stdout.close()
+        if sys.stdout is not None:
+            _drop(sys.stdout)
     if err and sys.stderr is not None:
         try:
-            sys.stderr.write(err)
-        except UnicodeEncodeError:  # a strict stderr: again, with non-ASCII escaped
-            sys.stderr.write(err.encode("ascii", "backslashreplace").decode("ascii"))
+            try:
+                sys.stderr.write(err)
+            except UnicodeEncodeError:  # a strict stderr: again, with non-ASCII escaped
+                sys.stderr.write(err.encode("ascii", "backslashreplace").decode("ascii"))
+            sys.stderr.flush()
+        except (OSError, ValueError):  # nothing is left to report to
+            _drop(sys.stderr)
+            return 1
     return status
 
 

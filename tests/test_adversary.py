@@ -5,7 +5,7 @@ import random
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cardauthsim import adversary, scheme
@@ -160,6 +160,33 @@ class TestOfflineGuess:
         off_the_wire = LoginRequest(wire["id"], Block(bytes.fromhex(wire["c2"])), wire["t"])
         found = offline_guess(CardSecrets.from_card(card), off_the_wire, Wordlist([PASSWORD]))
         assert found is not None
+
+    @settings(max_examples=100, deadline=None)
+    @given(master=blocks, salt=blocks, password=st.text(min_size=1, max_size=64),
+           stamp=st.integers(min_value=0, max_value=2**64 - 1), data=st.data())
+    def test_agrees_with_a_plain_reference_scan(self, master, salt, password, stamp, data):
+        # the scan inlines `scheme.proof`; this reference keeps it, over the
+        # same wordlist, with the password at any position or absent
+        card = enroll(AuthServer(master), IDENT, password, salt)
+        request, _ = card.login(IDENT, password, stamp)
+        words = [word for word in data.draw(st.lists(st.text(min_size=1, max_size=8),
+                                                     unique=True, max_size=20))
+                 if word != password]
+        if data.draw(st.booleans()):
+            words.insert(data.draw(st.integers(0, len(words))), password)
+        assume(words)
+
+        def reference(words):
+            for word in words:
+                secret = xor(card.masked_verifier, password_digest(word, card.salt))
+                if scheme.proof(secret, request.timestamp) == request.authenticator:
+                    return word, secret
+            return None
+
+        wordlist = Wordlist(words)
+        found = offline_guess(CardSecrets.from_card(card), request, wordlist)
+        assert found == reference(wordlist)
+        assert found == ((password, card.verifier) if password in wordlist else None)
 
     def test_each_probe_makes_three_hashes_and_three_xors(self, monkeypatch):
         # the attack's floor per candidate: 3 hashes (encode the password,

@@ -92,6 +92,11 @@ class TestDigest:
         with pytest.raises(TypeError):
             digest("x" * BLOCK_LEN)
 
+    @settings(max_examples=200, deadline=None)
+    @given(block=block_likes)
+    def test_matches_sha256_oracle(self, block):
+        assert digest(block) == _sha(bytes(block))
+
     def test_output_is_a_block(self):
         # exact type: a bytes subclass would pass isinstance
         assert type(digest(ZERO_BLOCK)) is bytes
@@ -207,6 +212,17 @@ class TestEncode:
             encode_registered_identity("alice", -1)
         with pytest.raises(ValueError):
             encode_registered_identity("alice", 2**32)
+
+    @settings(max_examples=200, deadline=None)
+    @given(password=st.text(min_size=1, max_size=64),
+           identity=st.text(st.characters(min_codepoint=0x21, max_codepoint=0x7E),
+                            min_size=1, max_size=64),
+           counter=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_text_encodings_match_oracle(self, password, identity, counter):
+        assert encode_password(password) == _sha(b"P" + password.encode("utf-8"))
+        assert encode_identity(identity) == _sha(b"I" + identity.encode("ascii"))
+        assert encode_registered_identity(identity, counter) == _sha(
+            b"E" + identity.encode("ascii") + counter.to_bytes(4, "big"))
 
     @settings(max_examples=200, deadline=None)
     @given(ticks=st.integers(min_value=0, max_value=2**64 - 1))

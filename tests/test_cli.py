@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from cardauthsim import blocks, cli
+from cardauthsim import adversary, blocks, cli
 from cardauthsim.blocks import BLOCK_LEN, GOLDEN_DIGESTS, ZERO_BLOCK
 from cardauthsim.cli import main
 
@@ -167,6 +167,26 @@ class TestReplayCommand:
             assert code == 1, path
             assert err.startswith("error: "), path
 
+    def test_file_over_the_size_limit_is_refused_unread(self, monkeypatch, capsys):
+        # the size comes from the stat that read_text takes anyway
+        real_stat, reads = os.stat, []
+
+        def fake_stat(path, *args, **kwargs):
+            info = real_stat(path, *args, **kwargs)
+            if str(path) != str(GOLDEN):
+                return info
+            fields = list(info)
+            fields[6] = adversary.MAX_INPUT_BYTES + 1  # st_size
+            return os.stat_result(fields)
+
+        monkeypatch.setattr(os, "stat", fake_stat)
+        monkeypatch.setattr(Path, "read_bytes", lambda path: reads.append(path))
+        code = main(["replay", str(GOLDEN)])
+        _, err = capsys.readouterr()
+        assert (code, reads) == (1, [])
+        assert err == (f"error: {GOLDEN} is {adversary.MAX_INPUT_BYTES + 1} bytes, over the "
+                       f"{adversary.MAX_INPUT_BYTES}-byte limit for an input file\n")
+
     def test_fifo_is_refused_unread(self, tmp_path):
         # a child process: a reader that opens a FIFO waits for a writer,
         # and the timeout turns that wait into a failure, not a hang
@@ -233,6 +253,17 @@ def test_command_with_nothing_for_stderr_never_writes_it(argv, monkeypatch, caps
     assert main(argv) == 0
 
 
+@pytest.mark.parametrize("argv, status", [
+    (["demo", "honest"], 0), (["demo", "parallel-session", "--window", "1"], 1),
+    (["demo", "honest", "--out", "\ud800"], 1), (["demo", "bogus"], 2)],
+    ids=["accepted", "rejected", "error", "usage"])
+def test_stderr_that_cannot_be_written_is_status_one(argv, status, monkeypatch, capsys):
+    # every one of these has stderr text; with nowhere to report, main returns 1
+    assert main(argv) == status
+    monkeypatch.setattr(sys, "stderr", FullStdout())
+    assert main(argv) == 1
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 def test_full_stdout_of_a_process_is_error():
     # a process's stdout is buffered, so a full device fails only at a flush;
@@ -295,6 +326,17 @@ class TestUsage:
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: cardauthsim")
+
+    def test_argparse_output_goes_through_main(self, monkeypatch, capsys):
+        # help that stdout cannot take is an error, not a silent exit 0
+        monkeypatch.setattr(sys, "stdout", FullStdout())
+        assert main(["--help"]) == 1
+        assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+        # a usage error keeps its status and text, whatever stdout is
+        assert main(["demo", "offline-guess"]) == 2
+        assert capsys.readouterr().err.endswith(
+            "error: scenario 'offline-guess' requires --dictionary\n")
 
 
 class TestStartup:
