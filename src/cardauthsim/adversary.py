@@ -39,8 +39,10 @@ MAX_INPUT_BYTES = 16 * 2**20
 
 def read_text(path: str | Path) -> str:
     """The one reader of an input file: the strict UTF-8 text of a regular
-    file of at most MAX_INPUT_BYTES. OSError: unreadable, not a regular file
-    or too large; ValueError: bytes that are not UTF-8, naming the line."""
+    file of at most MAX_INPUT_BYTES, by its size and by what it reads.
+    OSError: unreadable, not a regular file or too large; ValueError: bytes
+    that are not UTF-8, naming the line."""
+    limit = f"{MAX_INPUT_BYTES}-byte limit for an input file"
     try:
         # checked before opening: a FIFO would block, a device never end and
         # a huge file not fit in memory
@@ -48,9 +50,17 @@ def read_text(path: str | Path) -> str:
         if not stat.S_ISREG(info.st_mode):
             raise OSError(f"not a regular file: {path}")
         if info.st_size > MAX_INPUT_BYTES:
-            raise OSError(f"{path} is {info.st_size} bytes, over the "
-                          f"{MAX_INPUT_BYTES}-byte limit for an input file")
-        data = Path(path).read_bytes()
+            raise OSError(f"{path} is {info.st_size} bytes, over the {limit}")
+        # and the read is bounded too, at one byte past the limit: a regular
+        # file may hold more than its size says, as /proc/self/pagemap does
+        # (size 0). Asking for the size plus one byte spares the common case
+        # a buffer of the whole limit.
+        with Path(path).open("rb") as file:
+            data = file.read(info.st_size + 1)
+            if len(data) > info.st_size:
+                data += file.read(MAX_INPUT_BYTES - info.st_size)
+        if len(data) > MAX_INPUT_BYTES:
+            raise OSError(f"{path} is over the {limit}")
     except ValueError as exc:  # the OS call refuses a path with a NUL or a lone surrogate
         raise OSError(f"unusable path {path!r}: {exc}") from None
     try:

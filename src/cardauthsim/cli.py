@@ -62,11 +62,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _human_value(value) -> str:
+    # a nested payload, or text that would reach the terminal as control
+    # characters, renders as the transcript's canonical JSON
+    if isinstance(value, dict) or (isinstance(value, str) and not value.isprintable()):
+        return _dumps(value)
+    return str(value)
+
+
 def _render_human(transcript: Transcript) -> str:
     lines = []
     for event in transcript.events:
-        detail = ", ".join(f"{k}={_dumps(v) if isinstance(v, dict) else v}"
-                           for k, v in sorted(event.payload.items()))
+        detail = ", ".join(f"{k}={_human_value(v)}" for k, v in sorted(event.payload.items()))
         lines.append(f"{event.seq:3d}  t={event.time:<3d} {event.actor:<8s} "
                      f"{event.kind:<12s} {detail}")
     return "\n".join(lines) + "\n"
@@ -116,7 +123,7 @@ def _run(argv) -> tuple[int, str, str]:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             args = parser.parse_args(argv)
             if (args.command == "demo" and args.scenario in WORDLIST_SCENARIOS
-                    and not args.dictionary):
+                    and args.dictionary is None):
                 parser.error(f"scenario {args.scenario!r} requires --dictionary")
     except SystemExit as exc:
         return (exc.code if isinstance(exc.code, int) else 2), out.getvalue(), err.getvalue()

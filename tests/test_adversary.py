@@ -1,6 +1,5 @@
 """The four attacks, each exercised end to end against honest parties."""
 
-import os
 import random
 from pathlib import Path
 
@@ -104,10 +103,10 @@ class TestWordlist:
                 Wordlist.load(path)
 
     def test_load_reads_only_a_regular_file(self, tmp_path):
-        fifo = tmp_path / "words.fifo"
-        os.mkfifo(fifo)  # reading it would block with no writer
-        # "a\0b" and "\ud800" cannot name a file; /dev/null and the FIFO are not regular files
-        for path in ("/nonexistent", "a\u0000b", "\ud800", "/dev/null", fifo):
+        # "a\0b" and "\ud800" cannot name a file; /dev/null is not a regular
+        # file. A FIFO is the dictionary-fifo row of test_cli.py::test_child_process,
+        # a child process whose timeout ends a reader that blocks on it.
+        for path in ("/nonexistent", "a\u0000b", "\ud800", "/dev/null"):
             with pytest.raises(OSError):
                 Wordlist.load(path)
 

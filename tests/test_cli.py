@@ -1,5 +1,6 @@
 """Command-line behaviour: exit codes, output streams, file round trips."""
 
+import contextlib
 import io
 import json
 import os
@@ -54,7 +55,7 @@ class TestDemo:
     def test_unreadable_dictionary_is_io_error(self, tmp_path, capsys):
         malformed = {"duplicate": b"a\nb\na\n", "blank-line": b"a\n\nb\n",
                      "not-utf8": b"a\n\xff\xfe\n", "crlf": b"a\r\nb\r\n", "cr": b"a\rb\r"}
-        paths = ["/no/such/file"]
+        paths = ["/no/such/file", ""]  # an empty path is given, and names no file
         for name, data in malformed.items():
             path = tmp_path / f"{name}.txt"
             path.write_bytes(data)
@@ -124,6 +125,18 @@ class TestDemo:
         message = send.split("message=", 1)[1].split(", ")[0]
         assert json.loads(message)["type"] == "login"
 
+    def test_human_format_escapes_control_characters(self, tmp_path, capsys):
+        # a wordlist entry reaches the transcript as the guessed password
+        words = tmp_path / "words.txt"
+        words.write_bytes(b"a\x1b[31mred\n")
+        code = main(["demo", "offline-guess", "--dictionary", str(words), "--format", "human"])
+        out, _ = capsys.readouterr()
+        assert code == 0
+        assert "\x1b" not in out
+        assert 'password="a\\u001b[31mred"' in out
+        # printable text renders as it is
+        assert ", result=found, " in out
+
     def test_unknown_scenario_is_usage_error(self, capsys):
         assert main(["demo", "replay-everything"]) == 2
 
@@ -169,34 +182,26 @@ class TestReplayCommand:
 
     def test_file_over_the_size_limit_is_refused_unread(self, monkeypatch, capsys):
         # the size comes from the stat that read_text takes anyway
-        real_stat, reads = os.stat, []
-
-        def fake_stat(path, *args, **kwargs):
-            info = real_stat(path, *args, **kwargs)
-            if str(path) != str(GOLDEN):
-                return info
-            fields = list(info)
-            fields[6] = adversary.MAX_INPUT_BYTES + 1  # st_size
-            return os.stat_result(fields)
-
-        monkeypatch.setattr(os, "stat", fake_stat)
-        monkeypatch.setattr(Path, "read_bytes", lambda path: reads.append(path))
+        monkeypatch.setattr(os, "stat", _stat_with_size(GOLDEN, adversary.MAX_INPUT_BYTES + 1))
+        opened = []
+        monkeypatch.setattr(Path, "open", lambda path, *args: opened.append(path))
         code = main(["replay", str(GOLDEN)])
         _, err = capsys.readouterr()
-        assert (code, reads) == (1, [])
+        assert (code, opened) == (1, [])
         assert err == (f"error: {GOLDEN} is {adversary.MAX_INPUT_BYTES + 1} bytes, over the "
                        f"{adversary.MAX_INPUT_BYTES}-byte limit for an input file\n")
 
-    def test_fifo_is_refused_unread(self, tmp_path):
-        # a child process: a reader that opens a FIFO waits for a writer,
-        # and the timeout turns that wait into a failure, not a hang
-        fifo = tmp_path / "t.fifo"
-        os.mkfifo(fifo)
-        result = subprocess.run([sys.executable, "-m", "cardauthsim.cli", "replay", str(fifo)],
-                                capture_output=True, text=True, timeout=10,
-                                env={**os.environ, "PYTHONPATH": SRC})
-        assert result.returncode == 1
-        assert result.stderr.startswith("error: not a regular file")
+    def test_read_stops_at_the_size_limit(self, monkeypatch, capsys):
+        # a regular file may report size 0 and hold far more, as
+        # /proc/self/pagemap does; the read itself is bounded
+        monkeypatch.setattr(os, "stat", _stat_with_size(GOLDEN, 0))
+        size = len(GOLDEN.read_bytes())
+        monkeypatch.setattr(adversary, "MAX_INPUT_BYTES", size)
+        assert main(["replay", str(GOLDEN)]) == 0
+        monkeypatch.setattr(adversary, "MAX_INPUT_BYTES", size - 1)
+        assert main(["replay", str(GOLDEN)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {GOLDEN} is over the {size - 1}-byte limit for an input file\n")
 
     def test_garbage_file_is_error(self, tmp_path, capsys):
         header = ('{"dictionary":null,"scenario":"parallel-session","seed":42,'
@@ -228,6 +233,20 @@ class TestReplayCommand:
             _, err = capsys.readouterr()
             assert code == 1, data
             assert err.startswith("error: "), data
+
+
+def _stat_with_size(target, size):
+    """os.stat, with `size` as the st_size of `target`."""
+    real_stat = os.stat
+
+    def fake_stat(path, *args, **kwargs):
+        info = real_stat(path, *args, **kwargs)
+        if str(path) != str(target):
+            return info
+        fields = list(info)
+        fields[6] = size  # st_size
+        return os.stat_result(fields)
+    return fake_stat
 
 
 class FullStdout(io.StringIO):
@@ -264,35 +283,62 @@ def test_stderr_that_cannot_be_written_is_status_one(argv, status, monkeypatch, 
     assert main(argv) == 1
 
 
-@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-def test_full_stdout_of_a_process_is_error():
+# what the installed `cardauthsim` console script runs
+SCRIPT = "import sys; from cardauthsim.cli import main; sys.exit(main())"
+PIPE, NULL, FULL, CLOSED = subprocess.PIPE, subprocess.DEVNULL, "/dev/full", None
+ENOSPC = b"error: [Errno 28] No space left on device\n"
+needs_full = pytest.mark.skipif(not os.path.exists(FULL), reason="needs /dev/full")
+
+
+def _child(argv, stdout, stderr):
+    """Run `cardauthsim ARGV` in a child process. A stream is PIPE, NULL or
+    FULL; stdout may also be CLOSED, which closes fd 1 at start-up. The
+    timeout turns a child that waits forever into a failure, not a hang."""
+    # an unbuffered stdout would fail at the write, not at the flush under test
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    with contextlib.ExitStack() as files:
+        streams = [files.enter_context(open(FULL, "wb")) if stream == FULL else stream
+                   for stream in (stdout, stderr)]
+        result = subprocess.run([sys.executable, "-c", SCRIPT, *argv],
+                                stdout=streams[0], stderr=streams[1],
+                                preexec_fn=(lambda: os.close(1)) if stdout is CLOSED else None,
+                                timeout=10, env={**env, "PYTHONPATH": SRC})
+    return result.returncode, result.stdout, result.stderr
+
+
+@pytest.mark.parametrize("argv, stdout, stderr, expected", [
+    # a reader that opened a FIFO would wait for a writer
+    pytest.param(["replay", "{tmp}/t.fifo"], PIPE, PIPE,
+                 (1, b"", b"error: not a regular file: {tmp}/t.fifo\n"), id="fifo"),
+    pytest.param(["demo", "offline-guess", "--dictionary", "{tmp}/t.fifo"], PIPE, PIPE,
+                 (1, b"", b"error: cannot read dictionary: not a regular file: {tmp}/t.fifo\n"),
+                 id="dictionary-fifo"),
     # a process's stdout is buffered, so a full device fails only at a flush;
     # one left to the interpreter's exit would print a warning and exit 120
-    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
-    with open("/dev/full", "w") as full:
-        result = subprocess.run([sys.executable, "-m", "cardauthsim.cli", "vectors"],
-                                stdout=full, stderr=subprocess.PIPE, text=True, timeout=10,
-                                env={**env, "PYTHONPATH": SRC})
-    assert (result.returncode, result.stderr) == (1, "error: [Errno 28] No space left on device\n")
-
-
-@pytest.mark.parametrize("argv, status", [
-    (["demo", "honest"], 1), (["replay", str(GOLDEN)], 1), (["vectors"], 1),
-    (["demo", "honest", "--out", "OUT"], 0)], ids=["demo", "replay", "vectors", "demo-out"])
-def test_process_with_stdout_closed(argv, status, tmp_path):
-    # with fd 1 closed at start-up, sys.stdout is None: output that has
-    # nowhere to go is an error, and --out needs no stdout
-    out_file = tmp_path / "t.jsonl"
-    argv = [str(out_file) if arg == "OUT" else arg for arg in argv]
-    result = subprocess.run([sys.executable, "-m", "cardauthsim.cli", *argv],
-                            preexec_fn=lambda: os.close(1), stderr=subprocess.PIPE, text=True,
-                            timeout=10, env={**os.environ, "PYTHONPATH": SRC})
-    assert result.returncode == status, result.stderr
-    if status:
-        assert result.stderr == "error: no standard output\n"
-    else:
-        assert result.stderr.endswith("\naccepted\n")
-        assert main(["replay", str(out_file)]) == 0
+    pytest.param(["vectors"], FULL, PIPE, (1, None, ENOSPC), id="vectors-full", marks=needs_full),
+    pytest.param(["--help"], FULL, PIPE, (1, None, ENOSPC), id="help-full", marks=needs_full),
+    pytest.param(["demo", "honest"], NULL, FULL, (1, None, None),
+                 id="demo-stderr-full", marks=needs_full),
+    # with fd 1 closed, sys.stdout is None: output that has nowhere to go is
+    # an error, and --out needs no stdout
+    *(pytest.param(argv, CLOSED, PIPE, (1, None, b"error: no standard output\n"),
+                   id=f"{argv[0]}-closed")
+      for argv in (["demo", "honest"], ["replay", str(GOLDEN)], ["vectors"])),
+    pytest.param(["demo", "honest", "--out", "{tmp}/t.jsonl"], CLOSED, PIPE,
+                 (0, None, b"scenario honest seed=0 window=5 events=9\naccepted\n"),
+                 id="demo-out-closed"),
+    pytest.param(["demo", "parallel-session", "--seed", "42"], PIPE, PIPE,
+                 (0, GOLDEN.read_bytes(),
+                  b"scenario parallel-session seed=42 window=5 events=16\nattack-succeeded\n"),
+                 id="golden"),
+])
+def test_child_process(argv, stdout, stderr, expected, tmp_path):
+    os.mkfifo(tmp_path / "t.fifo")  # for the two fifo rows
+    status, out, err = expected
+    err = err and err.replace(b"{tmp}", bytes(tmp_path))
+    assert _child([arg.format(tmp=tmp_path) for arg in argv], stdout, stderr) == (status, out, err)
+    if "--out" in argv:  # what demo wrote in place of stdout replays
+        assert main(["replay", str(tmp_path / "t.jsonl")]) == 0
 
 
 class TestVectors:

@@ -2,7 +2,6 @@
 
 import hashlib
 import json
-import os
 import random
 from collections import Counter
 from pathlib import Path
@@ -368,14 +367,13 @@ class TestScenarios:
             with pytest.raises(ScenarioError, match="takes no dictionary"):
                 ScenarioConfig(scenario=scenario, dictionary_path=DICT_PATH)
 
-    def test_wordlist_scenarios_need_a_dictionary(self, tmp_path):
-        fifo = tmp_path / "words.fifo"
-        os.mkfifo(fifo)  # reading it would block with no writer
+    def test_wordlist_scenarios_need_a_dictionary(self):
         for scenario in WORDLIST_SCENARIOS:
             with pytest.raises(ScenarioError, match="needs a dictionary"):
                 run_scenario(ScenarioConfig(scenario=scenario))
-            # "a\0b" and "\ud800" cannot name a file; /dev/null and the FIFO are not regular files
-            for path in ("/nonexistent/words.txt", "a\u0000b", "\ud800", "/dev/null", str(fifo)):
+            # "a\0b" and "\ud800" cannot name a file; /dev/null is not a
+            # regular file, and a FIFO is a row of test_cli.py::test_child_process
+            for path in ("/nonexistent/words.txt", "a\u0000b", "\ud800", "/dev/null"):
                 with pytest.raises(ScenarioError, match="cannot read dictionary"):
                     run_scenario(ScenarioConfig(scenario=scenario, dictionary_path=path))
 
@@ -522,8 +520,8 @@ class TestReplay:
 
     def test_unreadable_path_is_os_error(self):
         # "a\0b" and "\ud800" cannot name a file; /dev/null is not a regular
-        # file. test_cli replays a FIFO in a child process, where a reader
-        # that blocks on it is killed by a timeout instead of hanging.
+        # file. A FIFO is the fifo row of test_cli.py::test_child_process, a
+        # child process whose timeout ends a reader that blocks on it.
         for path in ("/nonexistent", "a\u0000b", "\ud800", "/dev/null"):
             with pytest.raises(OSError):
                 replay_transcript(path)
