@@ -4,10 +4,10 @@ Each command, and argparse's help and usage errors, returns its exit
 status, stdout text and stderr text, and `main` alone writes them. Exit
 codes: 0 when the honest scenario accepts or an attack scenario succeeds
 (this tool exists to demonstrate the attacks, so success is the expected
-outcome), 1 on a contrary outcome, an I/O failure (output that stdout
-cannot take, no stdout at all, or stderr text that cannot be written), a
-malformed dictionary or transcript, or a vector whose digest differs from
-its pin, 2 on usage errors.
+outcome), 1 on a contrary outcome, a config that cannot run, an I/O
+failure (output that stdout cannot take, no stdout at all, or stderr text
+that cannot be written), a malformed dictionary or transcript, or a vector
+whose digest differs from its pin, 2 on usage errors.
 """
 
 import argparse
@@ -19,7 +19,6 @@ from pathlib import Path
 from .blocks import BLOCK_LEN, GOLDEN_DIGESTS, ONES_BLOCK, ZERO_BLOCK, digest
 from .harness import (
     SCENARIOS,
-    WORDLIST_SCENARIOS,
     ReplayMismatch,
     ScenarioConfig,
     ScenarioError,
@@ -84,7 +83,7 @@ def _cmd_demo(args) -> tuple[int, str, str]:
                             window=args.window, dictionary_path=args.dictionary)
     transcript = run_scenario(config)
     rendered = transcript.to_jsonl() if args.format == "json" else _render_human(transcript)
-    if args.out:
+    if args.out is not None:
         try:
             Path(args.out).write_text(rendered, encoding="utf-8", newline="\n")
         except (OSError, ValueError) as exc:
@@ -122,9 +121,6 @@ def _run(argv) -> tuple[int, str, str]:
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             args = parser.parse_args(argv)
-            if (args.command == "demo" and args.scenario in WORDLIST_SCENARIOS
-                    and args.dictionary is None):
-                parser.error(f"scenario {args.scenario!r} requires --dictionary")
     except SystemExit as exc:
         return (exc.code if isinstance(exc.code, int) else 2), out.getvalue(), err.getvalue()
     return args.run(args)

@@ -28,7 +28,7 @@ from .adversary import (
     outsider_change_password,
     read_text,
 )
-from .blocks import BLOCK_LEN, Block
+from .blocks import BLOCK_LEN
 from .scheme import (
     DEFAULT_WINDOW,
     AuthServer,
@@ -207,10 +207,10 @@ class _Run:
         self.now = 0
         self.events: list[Event] = []
         self.sent = 0
-        self.server = AuthServer(Block(self.rng.randbytes(BLOCK_LEN)))
-        self.salt = Block(self.rng.randbytes(BLOCK_LEN))
+        self.server = AuthServer(self.rng.randbytes(BLOCK_LEN))
+        self.salt = self.rng.randbytes(BLOCK_LEN)
         self.wordlist: Optional[Wordlist] = None
-        if config.scenario in WORDLIST_SCENARIOS:
+        if config.dictionary_path is not None:
             try:
                 self.wordlist = Wordlist.load(config.dictionary_path)
             except OSError as exc:

@@ -41,11 +41,6 @@ class TestDemo:
         assert code == 1
         assert err.strip().split("\n")[-1] == "attack-failed"
 
-    def test_guessing_scenarios_require_dictionary_flag(self, capsys):
-        for scenario in ("offline-guess", "outsider-change"):
-            assert main(["demo", scenario]) == 2
-            capsys.readouterr()
-
     def test_offline_guess_with_dictionary(self, capsys):
         code = main(["demo", "offline-guess", "--seed", "7", "--dictionary", DICT_PATH])
         _, err = capsys.readouterr()
@@ -87,12 +82,15 @@ class TestDemo:
         assert main(["replay", str(out_file)]) == 0
 
     def test_out_that_cannot_be_written_is_error(self, tmp_path, monkeypatch):
-        # a directory, and two strings that cannot name a file at all; a
-        # StringIO takes the lone surrogate that a process's stderr escapes
-        for path in (str(tmp_path), "a\u0000b", "\ud800"):
+        # a directory, the empty path (the current directory), and two
+        # strings that cannot name a file at all; a StringIO takes the lone
+        # surrogate that a process's stderr escapes
+        for path in (str(tmp_path), "", "a\u0000b", "\ud800"):
+            monkeypatch.setattr(sys, "stdout", io.StringIO())
             monkeypatch.setattr(sys, "stderr", io.StringIO())
             code = main(["demo", "honest", "--out", path])
             assert code == 1, path
+            assert sys.stdout.getvalue() == "", path
             assert sys.stderr.getvalue().startswith(f"error: cannot write {path}"), path
 
     def test_error_line_survives_a_strict_stderr(self, monkeypatch):
@@ -140,11 +138,31 @@ class TestDemo:
     def test_unknown_scenario_is_usage_error(self, capsys):
         assert main(["demo", "replay-everything"]) == 2
 
-    def test_bad_window_is_error(self, capsys):
-        code = main(["demo", "honest", "--window", "0"])
-        _, err = capsys.readouterr()
-        assert code == 1
-        assert "window" in err
+
+@pytest.mark.parametrize("argv, header, error", [
+    (["offline-guess"], {"scenario": "offline-guess"},
+     "scenario 'offline-guess' needs a dictionary"),
+    (["outsider-change"], {"scenario": "outsider-change"},
+     "scenario 'outsider-change' needs a dictionary"),
+    (["honest", "--dictionary", DICT_PATH], {"scenario": "honest", "dictionary": DICT_PATH},
+     "scenario 'honest' takes no dictionary"),
+    (["honest", "--seed", "-1"], {"scenario": "honest", "seed": -1},
+     "seed must be a non-negative integer"),
+    (["honest", "--window", "0"], {"scenario": "honest", "window": 0},
+     "window must be a positive tick count"),
+], ids=["offline-guess-no-dictionary", "outsider-change-no-dictionary",
+        "honest-dictionary", "negative-seed", "zero-window"])
+def test_config_refused_alike_by_demo_and_replay(argv, header, error, tmp_path, capsys):
+    # ScenarioConfig alone judges a config, so demo's arguments and the
+    # header that demo would record for them are refused with one line
+    assert main(["demo", *argv]) == 1
+    assert capsys.readouterr() == ("", f"error: {error}\n")
+    header = {"seed": 0, "window": 5, "dictionary": None, **header}
+    transcript = tmp_path / "t.jsonl"
+    transcript.write_text(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n",
+                          encoding="utf-8")
+    assert main(["replay", str(transcript)]) == 1
+    assert capsys.readouterr() == ("", f"error: {error}\n")
 
 
 class TestReplayCommand:
@@ -380,9 +398,9 @@ class TestUsage:
         assert main(["--help"]) == 1
         assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
         # a usage error keeps its status and text, whatever stdout is
-        assert main(["demo", "offline-guess"]) == 2
+        assert main(["demo", "honest", "--window", "x"]) == 2
         assert capsys.readouterr().err.endswith(
-            "error: scenario 'offline-guess' requires --dictionary\n")
+            "error: argument --window: invalid int value: 'x'\n")
 
 
 class TestStartup:
