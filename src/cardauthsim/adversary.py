@@ -106,7 +106,7 @@ class Wordlist(tuple):
             except ValueError as exc:
                 raise ValueError(f"entry {number}: {exc}") from None
             if word in seen:
-                raise ValueError(f"entry {number} repeats entry {seen[word]}: {word!r}")
+                raise ValueError(f"entry {number} repeats entry {seen[word]}")
             seen[word] = number
         return self
 

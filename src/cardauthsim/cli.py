@@ -21,7 +21,6 @@ from .harness import (
     SCENARIOS,
     ReplayMismatch,
     ScenarioConfig,
-    ScenarioError,
     Transcript,
     _dumps,
     replay_transcript,
@@ -61,18 +60,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _human_value(value) -> str:
-    # a nested payload, or text that would reach the terminal as control
-    # characters, renders as the transcript's canonical JSON
-    if isinstance(value, dict) or (isinstance(value, str) and not value.isprintable()):
-        return _dumps(value)
-    return str(value)
-
-
 def _render_human(transcript: Transcript) -> str:
+    # each payload value is the transcript's canonical JSON: quoted, escaped, ASCII
     lines = []
     for event in transcript.events:
-        detail = ", ".join(f"{k}={_human_value(v)}" for k, v in sorted(event.payload.items()))
+        detail = ", ".join(f"{k}={_dumps(v)}" for k, v in sorted(event.payload.items()))
         lines.append(f"{event.seq:3d}  t={event.time:<3d} {event.actor:<8s} "
                      f"{event.kind:<12s} {detail}")
     return "\n".join(lines) + "\n"
@@ -143,7 +135,7 @@ def main(argv=None) -> int:
                 raise OSError("no standard output")
             sys.stdout.write(out)
             sys.stdout.flush()
-    except (ScenarioError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         status, err = 1, f"error: {exc}\n"
         if sys.stdout is not None:
             _drop(sys.stdout)

@@ -52,7 +52,7 @@ _PASSWORD_ALPHABET = "abcdefghijklmnopqrstuvwxyz0123456789"
 _PASSWORD_LEN = 10
 
 
-class ScenarioError(Exception):
+class ScenarioError(ValueError):
     """A scenario could not run at all (as opposed to an attack failing)."""
 
 
@@ -403,8 +403,8 @@ def replay_transcript(path: str | Path) -> int:
     endings and final newline included. Returns the number of verified
     events. Raises ReplayMismatch at the first diverging event, OSError
     when the path is not a readable regular file, ValueError naming the
-    line of bytes that are not UTF-8, TranscriptParseError (a ValueError)
-    on a malformed file and ScenarioError when the recorded config cannot run.
+    line of bytes that are not UTF-8, and its subclasses TranscriptParseError on
+    a malformed file and ScenarioError when the recorded config cannot run.
     """
     text = read_text(path)
     fresh = run_scenario(Transcript.from_jsonl(text).config)

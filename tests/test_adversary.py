@@ -68,8 +68,8 @@ class TestWordlist:
         assert "a" in wl and "z" not in wl
 
     def test_rejects_duplicates_blanks_and_empty(self):
-        # errors name the 1-based entry, and a duplicate both entries
-        with pytest.raises(ValueError, match="entry 3 repeats entry 1: 'a'"):
+        # errors name the 1-based entry, and a duplicate both entries, never the word
+        with pytest.raises(ValueError, match=r"^entry 3 repeats entry 1$"):
             Wordlist(["a", "b", "a"])
         with pytest.raises(ValueError, match="entry 2: password must not be empty"):
             Wordlist(["a", ""])

@@ -124,16 +124,26 @@ class TestDemo:
         assert json.loads(message)["type"] == "login"
 
     def test_human_format_escapes_control_characters(self, tmp_path, capsys):
-        # a wordlist entry reaches the transcript as the guessed password
+        # a wordlist entry reaches the transcript as the guessed password, and
+        # renders, like every value, as canonical JSON: quoted, escaped, ASCII
         words = tmp_path / "words.txt"
-        words.write_bytes(b"a\x1b[31mred\n")
-        code = main(["demo", "offline-guess", "--dictionary", str(words), "--format", "human"])
-        out, _ = capsys.readouterr()
-        assert code == 0
-        assert "\x1b" not in out
-        assert 'password="a\\u001b[31mred"' in out
-        # printable text renders as it is
-        assert ", result=found, " in out
+        for word, rendered in (("a\x1b[31mred", '"a\\u001b[31mred"'),
+                               ("x, result=missed", '"x, result=missed"'),
+                               ("caf\u00e9", '"caf\\u00e9"')):
+            words.write_text(word + "\n", encoding="utf-8")
+            code = main(["demo", "offline-guess", "--dictionary", str(words),
+                         "--format", "human"])
+            out, _ = capsys.readouterr()
+            assert code == 0
+            assert out.isascii()
+            assert "\x1b" not in out
+            line = next(line for line in out.split("\n") if "password=" in line)
+            assert f'password={rendered}, ' in line
+            assert ', result="found", ' in line
+            # the line still parses into its fields, the guessed word one of them
+            assert _human_fields(line) == [("action", "offline-guess"), ("password", word),
+                                           ("probes", 1), ("result", "found"),
+                                           ("wordlist_size", 1)]
 
     def test_unknown_scenario_is_usage_error(self, capsys):
         assert main(["demo", "replay-everything"]) == 2
@@ -163,6 +173,19 @@ def test_config_refused_alike_by_demo_and_replay(argv, header, error, tmp_path, 
                           encoding="utf-8")
     assert main(["replay", str(transcript)]) == 1
     assert capsys.readouterr() == ("", f"error: {error}\n")
+
+
+def _human_fields(line):
+    """The (key, value) fields of a `--format human` line, each value read as JSON."""
+    detail = line.split(None, 4)[4]
+    fields, pos = [], 0
+    while pos < len(detail):
+        key = detail[pos:].partition("=")[0]
+        value, pos = json.JSONDecoder().raw_decode(detail, pos + len(key) + 1)
+        fields.append((key, value))
+        assert detail[pos:pos + 2] in (", ", "")
+        pos += 2
+    return fields
 
 
 class TestReplayCommand:
@@ -251,6 +274,30 @@ class TestReplayCommand:
             _, err = capsys.readouterr()
             assert code == 1, data
             assert err.startswith("error: "), data
+
+
+@pytest.mark.parametrize("data, stdout, detail", [
+    (b"hunter2-secret\nx\nhunter2-secret\n", "", "entry 3 repeats entry 1"),
+    (b"hunter2-secret" + b"z" * 64 + b"\n", "", "entry 1: password longer than 64 characters"),
+    (b"hunter2-secret\n\nx\n", "", "entry 2: password must not be empty"),
+    (b"hunter2-secret\r\n", "", "line 1: carriage return"),
+    (b"hunter2-secret\n\xff\n", "", "line 2: not UTF-8 (invalid start byte)"),
+    (b"", "", "wordlist must not be empty"),
+    (b"hunter2-secret\nx\n", "mismatch at seq 0\n", ""),
+], ids=["repeat", "overlong", "blank-line", "cr", "not-utf8", "empty", "valid"])
+def test_replay_never_echoes_a_named_file(data, stdout, detail, tmp_path, capsys):
+    # a transcript is untrusted, and its header names a file that replay reads:
+    # a malformed one is reported by its path and numbers, a valid one only runs
+    named = tmp_path / "named.txt"
+    named.write_bytes(data)
+    transcript = tmp_path / "t.jsonl"
+    header = {"dictionary": str(named), "scenario": "offline-guess", "seed": 0, "window": 5}
+    transcript.write_text(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n",
+                          encoding="utf-8")
+    assert main(["replay", str(transcript)]) == 1
+    out, err = capsys.readouterr()
+    assert "hunter2" not in out + err
+    assert (out, err) == (stdout, detail and f"error: malformed dictionary {named}: {detail}\n")
 
 
 def _stat_with_size(target, size):
