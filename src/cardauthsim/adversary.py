@@ -55,7 +55,7 @@ def read_text(path: str | Path) -> str:
         # file may hold more than its size says, as /proc/self/pagemap does
         # (size 0). Asking for the size plus one byte spares the common case
         # a buffer of the whole limit.
-        with Path(path).open("rb") as file:
+        with open(os.fspath(path), "rb") as file:  # fspath: never a file descriptor
             data = file.read(info.st_size + 1)
             if len(data) > info.st_size:
                 data += file.read(MAX_INPUT_BYTES - info.st_size)

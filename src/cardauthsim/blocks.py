@@ -64,7 +64,8 @@ def validate_identity(identity: str) -> str:
         raise ValueError("identity must not be empty")
     if len(identity) > MAX_TEXT_LEN:
         raise ValueError(f"identity longer than {MAX_TEXT_LEN} characters")
-    if not all(0x21 <= ord(ch) <= 0x7E for ch in identity):
+    # printable ASCII is 0x20-0x7E, and only the space among it is whitespace
+    if not (identity.isascii() and identity.isprintable() and " " not in identity):
         raise ValueError("identity must be printable ASCII without whitespace")
     return identity
 

@@ -47,6 +47,7 @@ ATTACKER_PASSWORD = "hijacked-by-mallory"
 
 ACTORS = ("user", "card", "server", "intruder", "harness")
 EVENT_KINDS = ("send", "intercept", "drop", "deliver", "verdict", "state-change")
+_EVENT_KEYS = frozenset(("actor", "kind", "payload", "seq", "time"))
 
 _PASSWORD_ALPHABET = "abcdefghijklmnopqrstuvwxyz0123456789"
 _PASSWORD_LEN = 10
@@ -68,8 +69,8 @@ class ReplayMismatch(Exception):
         self.seq = seq
 
 
-def _dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+# exactly json.dumps(obj, sort_keys=True, separators=(",", ":")), built once
+_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def _fields(obj, keys: tuple[str, ...], what: str) -> list:
@@ -150,8 +151,17 @@ class Transcript(NamedTuple):
         return last.payload["outcome"]
 
     def to_jsonl(self) -> str:
+        # Each event line is framed with its keys in sorted order: actor and kind
+        # are names from ACTORS and EVENT_KINDS, seq and time plain ints, as _Run
+        # and from_jsonl make them. A message's events share a payload, encoded once.
+        encoded: dict[int, str] = {}
         lines = [_dumps(self.config.to_obj())]
-        lines.extend(_dumps(event._asdict()) for event in self.events)
+        for seq, time, actor, kind, payload in self.events:
+            body = encoded.get(id(payload))
+            if body is None:
+                body = encoded[id(payload)] = _dumps(payload)
+            lines.append(f'{{"actor":"{actor}","kind":"{kind}","payload":{body},'
+                         f'"seq":{seq},"time":{time}}}')
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -177,15 +187,16 @@ class Transcript(NamedTuple):
         # the only check of an event line: a run's own transcripts meet it on replay
         events: list[Event] = []
         for number, obj in enumerate(objs[1:], 2):
-            event = Event(*_fields(obj, Event._fields, f"event line {number}"))
-            due = len(events)
-            if not (type(event.seq) is int and event.seq == due and type(event.time) is int
-                    and event.actor in ACTORS and event.kind in EVENT_KINDS
-                    and isinstance(event.payload, dict)):
+            if not isinstance(obj, dict) or obj.keys() != _EVENT_KEYS:
+                _fields(obj, Event._fields, f"event line {number}")  # raises, naming the keys
+            seq, time = obj["seq"], obj["time"]
+            if not (type(seq) is int and seq == len(events) and type(time) is int
+                    and obj["actor"] in ACTORS and obj["kind"] in EVENT_KINDS
+                    and isinstance(obj["payload"], dict)):
                 raise TranscriptParseError(
-                    f"event line {number} needs seq {due}, an integer time, a known actor "
-                    "and kind, and an object payload")
-            events.append(event)
+                    f"event line {number} needs seq {len(events)}, an integer time, a known "
+                    "actor and kind, and an object payload")
+            events.append(Event(seq, time, obj["actor"], obj["kind"], obj["payload"]))
         return cls(config, tuple(events))
 
 

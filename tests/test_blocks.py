@@ -107,6 +107,18 @@ class TestValidation:
             with pytest.raises(ValueError):
                 validate_identity(bad)
 
+    @settings(max_examples=500)
+    @given(identity=st.text(max_size=70) | st.lists(
+        st.sampled_from([*map(chr, range(0x21)), "\x7f", "\x85", "\xa0", "a", "~", "!"]),
+        min_size=1, max_size=6).map("".join))
+    def test_identity_check_matches_per_character_oracle(self, identity):
+        # the rule as first written: every character in 0x21-0x7E
+        valid = 0 < len(identity) <= 64 and all(0x21 <= ord(ch) <= 0x7E for ch in identity)
+        try:
+            assert validate_identity(identity) == identity and valid
+        except ValueError:
+            assert not valid
+
     def test_password_rules(self):
         assert validate_password("p") == "p"
         assert validate_password("café latte") == "café latte"

@@ -194,13 +194,33 @@ class TestTranscript:
         # json refuses integers this long with a plain ValueError
         with pytest.raises(TranscriptParseError, match="line 1"):
             Transcript.from_jsonl("1" * 5000 + "\n")
-        # one bad field in the event after a valid event 0
+
+    @pytest.mark.parametrize("edit", [
+        lambda obj: [], lambda obj: 3, lambda obj: "seq",
+        lambda obj: {k: v for k, v in obj.items() if k != "time"},
+        lambda obj: {**obj, "extra": 1},
+    ], ids=["list", "int", "string", "missing-key", "extra-key"])
+    def test_event_line_that_is_not_an_event_object_is_refused(self, edit):
         header, event0, event1 = run_scenario(config_for("honest")).to_jsonl().split("\n")[:3]
-        for field, value in (("seq", True), ("seq", 1.0), ("time", "x"), ("actor", 7),
-                             ("actor", "eve"), ("kind", None), ("payload", 3), ("payload", [])):
-            bad = json.dumps({**json.loads(event1), field: value})
-            with pytest.raises(TranscriptParseError, match="line 3"):
-                Transcript.from_jsonl(f"{header}\n{event0}\n{bad}\n")
+        bad = json.dumps(edit(json.loads(event1)))
+        message = "event line 3 is not an object with keys seq, time, actor, kind, payload"
+        with pytest.raises(TranscriptParseError) as info:
+            Transcript.from_jsonl(f"{header}\n{event0}\n{bad}\n")
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("field, value", [
+        ("seq", True), ("seq", 1.0), ("seq", 0), ("seq", 2), ("time", "x"), ("time", 1.0),
+        ("actor", 7), ("actor", "eve"), ("actor", []), ("kind", None), ("kind", {}),
+        ("payload", 3), ("payload", []), ("payload", None),
+    ])
+    def test_event_line_with_a_bad_field_is_refused(self, field, value):
+        header, event0, event1 = run_scenario(config_for("honest")).to_jsonl().split("\n")[:3]
+        bad = json.dumps({**json.loads(event1), field: value})
+        message = ("event line 3 needs seq 1, an integer time, a known actor and kind, "
+                   "and an object payload")
+        with pytest.raises(TranscriptParseError) as info:
+            Transcript.from_jsonl(f"{header}\n{event0}\n{bad}\n")
+        assert str(info.value) == message
 
     def test_outcome_of_header_only_transcript_is_value_error(self):
         header = run_scenario(config_for("honest")).to_jsonl().split("\n")[0]
@@ -346,6 +366,32 @@ class TestScenarios:
                     pin.update(text.split("\n", 1)[1].encode())
         assert pin.hexdigest() == (
             "c09ecbff16be0e1f802f0caf352adc9675ba30812d03799ce92d3d9d7c21a050")
+
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS) + ["escapes"])
+    def test_writer_matches_plain_json_dumps(self, scenario, tmp_path):
+        # `to_jsonl` against the plain reference writer, on a run's own events
+        # (a message's events share one payload object) and on the parsed
+        # text (every payload its own). In the `escapes` row every word, and
+        # so the recovered password, needs each kind of JSON escape.
+        escapes = '"\\\t\x00\u00e9 \U0001f511'
+        dictionary = {}
+        if scenario == "escapes":
+            words = tmp_path / "words.txt"
+            words.write_text("".join(f"{escapes}{n}\n" for n in range(5)), encoding="utf-8")
+            scenario, dictionary = "offline-guess", {"dictionary_path": str(words)}
+        for seed in range(4):
+            for window in (2, 7):
+                transcript = run_scenario(config_for(scenario, seed=seed, window=window,
+                                                     **dictionary))
+                objs = [transcript.config.to_obj(), *(e._asdict() for e in transcript.events)]
+                reference = "\n".join(json.dumps(o, sort_keys=True, separators=(",", ":"))
+                                      for o in objs) + "\n"
+                assert len({id(e.payload) for e in transcript.events}) < len(objs) - 1
+                assert transcript.to_jsonl() == reference
+                assert Transcript.from_jsonl(reference).to_jsonl() == reference
+                if dictionary:
+                    assert transcript.outcome() == "attack-succeeded"
+                    assert escapes in transcript.events[-2].payload["password"]
 
     def test_invalid_configs_rejected(self):
         with pytest.raises(ScenarioError, match="unknown scenario"):
