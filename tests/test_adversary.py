@@ -9,28 +9,23 @@ from hypothesis import strategies as st
 
 from cardauthsim import adversary, scheme
 from cardauthsim.adversary import (
-    INSIDER_MODES,
     INSIDER_SUPPLY_DIGEST,
     INSIDER_SUPPLY_VERIFIER,
     CardSecrets,
     RegistrationRecord,
     Wordlist,
-    forge_parallel_login,
     insider_change_password,
     offline_guess,
     outsider_change_password,
 )
-from cardauthsim.blocks import Block, digest, encode_registered_identity, encode_timestamp, xor
+from cardauthsim.blocks import Block, xor
 from cardauthsim.scheme import (
     AuthServer,
-    BadAuthenticator,
     LoginRequest,
     PasswordChangeRejected,
-    StaleTimestamp,
     enroll,
     message_to_wire,
     password_digest,
-    verify_mutual_auth,
 )
 
 MASTER = Block(bytes(range(32)))
@@ -47,17 +42,14 @@ def _setup(password=PASSWORD):
     return server, card
 
 
-def _wordlist_around(true_password, size, rng, include=True):
-    """Random distinct candidates with the true password mixed in (or not)."""
+def _wordlist_without(password, size, rng):
+    """Random distinct candidates, none of them `password`, in sorted order."""
     words = set()
-    while len(words) < size - (1 if include else 0):
+    while len(words) < size:
         word = "cand-" + "".join(rng.choices("abcdefghij0123456789", k=8))
-        if word != true_password:
+        if word != password:
             words.add(word)
-    words = sorted(words)
-    if include:
-        words.insert(rng.randrange(len(words) + 1), true_password)
-    return Wordlist(words)
+    return Wordlist(sorted(words))
 
 
 class TestWordlist:
@@ -116,39 +108,11 @@ class TestWordlist:
 
 
 class TestOfflineGuess:
-    def test_recovers_password_from_large_wordlist(self):
-        _, card = _setup()
-        request, _ = card.login(IDENT, PASSWORD, 10)
-        wl = _wordlist_around(PASSWORD, 1000, random.Random(7))
-        found = offline_guess(CardSecrets.from_card(card), request, wl)
-        assert found is not None
-        password, secret = found
-        assert password == PASSWORD
-        assert secret == card.verifier
-
-    def test_not_found_when_password_absent(self):
-        _, card = _setup()
-        request, _ = card.login(IDENT, PASSWORD, 10)
-        wl = _wordlist_around(PASSWORD, 1000, random.Random(7), include=False)
-        assert offline_guess(CardSecrets.from_card(card), request, wl) is None
-
     def test_single_candidate_hits_first_probe(self):
         _, card = _setup()
         request, _ = card.login(IDENT, PASSWORD, 10)
         found = offline_guess(CardSecrets.from_card(card), request, Wordlist([PASSWORD]))
         assert found == (PASSWORD, card.verifier)
-
-    def test_random_hundred_word_lists(self):
-        # recovery succeeds whenever the password is present, across
-        # many independently drawn wordlists and scheme instances
-        rng = random.Random(99)
-        for _ in range(30):
-            password = "pw-" + "".join(rng.choices("abcdef123", k=6))
-            server = AuthServer(Block(rng.randbytes(32)))
-            card = enroll(server, IDENT, password, Block(rng.randbytes(32)))
-            request, _ = card.login(IDENT, password, rng.randrange(1000))
-            wl = _wordlist_around(password, 100, rng)
-            assert offline_guess(CardSecrets.from_card(card), request, wl) == (password, card.verifier)
 
     def test_uses_only_breached_material(self):
         # the scan never needs the server or an oracle beyond the
@@ -192,7 +156,7 @@ class TestOfflineGuess:
         # hash it salted, hash the proof) and 3 XORs (salt, unmask, stamp)
         _, card = _setup()
         request, _ = card.login(IDENT, PASSWORD, 10)
-        wl = _wordlist_around(PASSWORD, 50, random.Random(7), include=False)
+        wl = _wordlist_without(PASSWORD, 50, random.Random(7))
         calls = {"hash": 0, "xor": 0}
 
         def counted(kind, fn):
@@ -211,23 +175,6 @@ class TestOfflineGuess:
 
 
 class TestOutsiderChangePassword:
-    def test_attacker_owns_the_account_afterwards(self):
-        server, card = _setup()
-        request, _ = card.login(IDENT, PASSWORD, 10)
-        recovered, _ = offline_guess(CardSecrets.from_card(card), request,
-                                     Wordlist(["foo", PASSWORD, "bar"]))
-        outsider_change_password(card, recovered, "evil")
-        hijacked, session = card.login(IDENT, "evil", 20)
-        response = server.verify_login(hijacked, 21)
-        verify_mutual_auth(session, response)
-
-    def test_victim_locked_out_afterwards(self):
-        server, card = _setup()
-        outsider_change_password(card, PASSWORD, "evil")
-        retry, _ = card.login(IDENT, PASSWORD, 20)
-        with pytest.raises(BadAuthenticator):
-            server.verify_login(retry, 21)
-
     def test_same_new_password_leaves_card_identical(self):
         _, card = _setup()
         before = card.masked_verifier
@@ -250,17 +197,6 @@ class TestInsiderChangePassword:
         record = self._record_for(card)
         assert xor(card.masked_verifier, record.password_digest) == record.verifier
 
-    @pytest.mark.parametrize("mode", INSIDER_MODES)
-    def test_fresh_card_hijacked_in_either_entry_mode(self, mode):
-        server, card = _setup()
-        insider_change_password(card, self._record_for(card), "evil", mode=mode)
-        hijacked, session = card.login(IDENT, "evil", 20)
-        response = server.verify_login(hijacked, 21)
-        verify_mutual_auth(session, response)
-        retry, _ = card.login(IDENT, PASSWORD, 30)
-        with pytest.raises(BadAuthenticator):
-            server.verify_login(retry, 31)
-
     def test_both_modes_land_on_the_same_card_state(self):
         _, first = _setup()
         _, second = _setup()
@@ -269,16 +205,6 @@ class TestInsiderChangePassword:
         insider_change_password(second, self._record_for(second), "evil",
                                 mode=INSIDER_SUPPLY_DIGEST)
         assert first.masked_verifier == second.masked_verifier
-
-    @pytest.mark.parametrize("mode", INSIDER_MODES)
-    def test_stale_record_rejected_after_user_change(self, mode):
-        _, card = _setup()
-        record = self._record_for(card)
-        card.change_password(PASSWORD, "user-moved-on")
-        before = card.masked_verifier
-        with pytest.raises(PasswordChangeRejected):
-            insider_change_password(card, record, "evil", mode=mode)
-        assert card.masked_verifier == before
 
     def test_keying_in_the_verifier_is_rejected(self):
         _, card = _setup()
@@ -291,61 +217,3 @@ class TestInsiderChangePassword:
         _, card = _setup()
         with pytest.raises(ValueError):
             insider_change_password(card, self._record_for(card), "evil", mode="telepathy")
-
-
-class TestParallelSessionForge:
-    def _observed_session(self, t_login=10, t_server=11):
-        server, card = _setup()
-        request, _ = card.login(IDENT, PASSWORD, t_login)
-        response = server.verify_login(request, t_server)
-        return server, request, response
-
-    def test_forged_request_accepted_at_every_delay_in_window(self):
-        window = 5
-        for delay in range(1, window + 1):
-            server, request, response = self._observed_session()
-            forged = forge_parallel_login(request, response)
-            assert forged.identity == request.identity
-            assert forged.authenticator == response.authenticator
-            assert forged.timestamp == response.timestamp
-            second = server.verify_login(forged, response.timestamp + delay, window=window)
-            # a fresh reply comes back for the forged session
-            assert second.timestamp == response.timestamp + delay
-
-    def test_forge_expires_with_the_window(self):
-        server, request, response = self._observed_session()
-        forged = forge_parallel_login(request, response)
-        with pytest.raises(StaleTimestamp):
-            server.verify_login(forged, response.timestamp + 6, window=5)
-
-    def test_forge_with_substituted_identity_rejected(self):
-        server, request, response = self._observed_session()
-        enroll(server, "bob", "bobs-password", Block(b"\x42" * 32))
-        forged = forge_parallel_login(request, response)
-        wrong_owner = type(forged)("bob", forged.authenticator, forged.timestamp)
-        with pytest.raises(BadAuthenticator):
-            server.verify_login(wrong_owner, response.timestamp + 1)
-
-    def test_forge_built_from_wire_messages_alone(self):
-        server, request, response = self._observed_session()
-        req, resp = message_to_wire(request), message_to_wire(response)
-        forged = forge_parallel_login(request, response)
-        # the forge is the observed identity plus the server's reply fields
-        assert message_to_wire(forged) == {"type": "login", "id": req["id"],
-                                           "c2": resp["c3"], "t": resp["t"]}
-        assert server.verify_login(forged, response.timestamp + 1)
-
-    @settings(max_examples=100, deadline=None)
-    @given(master=blocks, salt=blocks, t_login=st.integers(min_value=0, max_value=2**20))
-    def test_response_shares_the_login_proof_shape(self, master, salt, t_login):
-        # the server reply is literally a login proof over the server's
-        # clock, which is the whole reason the forge verifies
-        server = AuthServer(master)
-        card = enroll(server, IDENT, PASSWORD, salt)
-        request, _ = card.login(IDENT, PASSWORD, t_login)
-        response = server.verify_login(request, t_login + 1)
-        bound = encode_registered_identity(IDENT, 0)
-        verifier = digest(xor(bound, master))
-        assert response.authenticator == digest(xor(verifier, encode_timestamp(response.timestamp)))
-        assert request.authenticator == digest(xor(verifier, encode_timestamp(request.timestamp)))
-
