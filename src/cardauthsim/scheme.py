@@ -163,12 +163,15 @@ class AuthServer:
                      window: int = DEFAULT_WINDOW) -> ServerResponse:
         """Check a login request received at the server's current tick.
 
-        Raises UnknownIdentity for unregistered or malformed identities,
-        StaleTimestamp when the request clock falls outside
-        [received_at - window, received_at] or outside the clock's range,
-        BadAuthenticator when the proof does not match. On success returns
-        the mutual-auth reply.
+        Raises ValueError when the server's own clock `received_at` is
+        outside the clock's range, UnknownIdentity for unregistered or
+        malformed identities, StaleTimestamp when the request clock falls
+        outside [received_at - window, received_at] or outside the clock's
+        range, BadAuthenticator when the proof does not match. On success
+        returns the mutual-auth reply.
         """
+        if not 0 <= received_at < TIMESTAMP_LIMIT:
+            raise ValueError(f"server clock {received_at} is outside [0, 2**64)")
         # `register` stores only valid identities, so this rejects malformed ones too
         if request.identity not in self.accounts:
             raise UnknownIdentity(f"no account for {request.identity!r}")

@@ -253,27 +253,31 @@ class TestReplayCommand:
             b'{"dictionary": null, "scenario": "parallel-session", "seed": 42, "window": 5}',
             b'{"seed":1,"scenario":"parallel-session","seed":42,"window":5,"dictionary":null}',
             b'{"dictionary":null,"scenario":"parallel\\u002dsession","seed":42,"window":5}')]
-        # one bad field in the event after a valid event 0 of the same run
-        event0 = (b'{"actor":"server","kind":"state-change","payload":{"action":'
-                  b'"account-registered","counter":0,"id":"alice"},"seq":0,"time":0}\n')
-        event1 = {"actor": "card", "kind": "state-change",
-                  "payload": {"action": "card-issued", "id": "alice"}, "seq": 1, "time": 0}
-        bad_events = [header + event0 + json.dumps({**event1, field: value}).encode() + b"\n"
-                      for field, value in (("seq", True), ("seq", 1.0), ("time", "x"),
-                                           ("actor", 7), ("actor", "eve"), ("kind", None),
-                                           ("payload", 3), ("payload", []))]
+        bad = tmp_path / "bad.jsonl"
         for data in (b"garbage\n", b"5\n", b"null\n", b'"text"\n',
                      b'{"dictionary":null,"scenario":["x"],"seed":0,"window":5}\n',
                      b'{"dictionary":5,"scenario":"honest","seed":0,"window":5}\n',
                      b'{"dictionary":null,"scenario":"honest","seed":-1,"window":5}\n',
-                     header + b"7\n", header + b"\xff\xfe\n", *bad_events, *non_canonical,
-                     GOLDEN.read_bytes()[:-1]):
-            bad = tmp_path / "bad.jsonl"
+                     header + b"\xff\xfe\n", *non_canonical, GOLDEN.read_bytes()[:-1]):
             bad.write_bytes(data)
             code = main(["replay", str(bad)])
             _, err = capsys.readouterr()
             assert code == 1, data
             assert err.startswith("error: "), data
+        # a malformed event line is a mismatch like a wrong one: an event that
+        # is no object, or one bad field after a valid event 0 of the same run
+        event0 = (b'{"actor":"server","kind":"state-change","payload":{"action":'
+                  b'"account-registered","counter":0,"id":"alice"},"seq":0,"time":0}\n')
+        event1 = {"actor": "card", "kind": "state-change",
+                  "payload": {"action": "card-issued", "id": "alice"}, "seq": 1, "time": 0}
+        bad_events = [(header + event0 + json.dumps({**event1, field: value}).encode() + b"\n", 1)
+                      for field, value in (("seq", True), ("seq", 1.0), ("time", "x"),
+                                           ("actor", 7), ("actor", "eve"), ("kind", None),
+                                           ("payload", 3), ("payload", []))]
+        for data, seq in ((header + b"7\n", 0), *bad_events):
+            bad.write_bytes(data)
+            code = main(["replay", str(bad)])
+            assert (code, *capsys.readouterr()) == (1, f"mismatch at seq {seq}\n", ""), data
 
 
 @pytest.mark.parametrize("data, stdout, detail", [
@@ -396,9 +400,13 @@ def _child(argv, stdout, stderr):
                  (0, GOLDEN.read_bytes(),
                   b"scenario parallel-session seed=42 window=5 events=16\nattack-succeeded\n"),
                  id="golden"),
+    # an extra line is a mismatch at the seq it would have, not a crash
+    pytest.param(["replay", "{tmp}/extra.jsonl"], PIPE, PIPE,
+                 (1, b"mismatch at seq 16\n", b""), id="golden-extra-line"),
 ])
 def test_child_process(argv, stdout, stderr, expected, tmp_path):
     os.mkfifo(tmp_path / "t.fifo")  # for the two fifo rows
+    (tmp_path / "extra.jsonl").write_bytes(GOLDEN.read_bytes() + b"\n")
     status, out, err = expected
     err = err and err.replace(b"{tmp}", bytes(tmp_path))
     assert _child([arg.format(tmp=tmp_path) for arg in argv], stdout, stderr) == (status, out, err)

@@ -97,13 +97,13 @@ class SchemeModel(RuleBasedStateMachine):
     def verdict(self, identity, stamp, window, proves_current):
         """The class of the server's refusal at tick `now`, or None: a login is accepted
         iff it proves the identity's current registration at a stamp in [now - window, now]."""
+        if self.now >= CLOCK_LIMIT:
+            return ValueError  # the server's own clock cannot fold, whatever the request
         if identity not in self.counters:
             return UnknownIdentity
         if not (self.now - window <= stamp <= self.now and 0 <= stamp < CLOCK_LIMIT):
             return StaleTimestamp
-        if not proves_current:
-            return BadAuthenticator
-        return ValueError if self.now >= CLOCK_LIMIT else None  # the reply's stamp cannot fold
+        return None if proves_current else BadAuthenticator
 
     def current(self, held):
         return self.counters[held.identity] == held.counter

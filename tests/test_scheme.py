@@ -182,10 +182,18 @@ class TestVerifyLogin:
 
     def test_timestamp_outside_clock_range_is_stale(self):
         server, _ = _fresh_setup()
-        for stamp, received_at, window in ((-1, 3, 10), (2**64, 2**64 + 1, 5)):
-            with pytest.raises(StaleTimestamp):
-                server.verify_login(LoginRequest(IDENT, Block(bytes(32)), stamp),
-                                    received_at, window=window)
+        with pytest.raises(StaleTimestamp):
+            server.verify_login(LoginRequest(IDENT, Block(bytes(32)), -1), 3, window=10)
+
+    def test_server_clock_outside_its_range_is_refused_first(self):
+        # before the account lookup and any proof work, for any request
+        server, card = _fresh_setup()
+        for received_at in (-1, 2**64):
+            for request in (card.login(IDENT, PASSWORD, 0)[0],
+                            LoginRequest("mallory", Block(bytes(32)), 0)):
+                with pytest.raises(ValueError) as info:
+                    server.verify_login(request, received_at, window=2**65)
+                assert str(info.value) == f"server clock {received_at} is outside [0, 2**64)"
 
     def test_unknown_identity_rejected(self):
         server, card = _fresh_setup()
