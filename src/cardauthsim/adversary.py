@@ -51,11 +51,17 @@ def read_text(path: str | Path) -> str:
             raise OSError(f"not a regular file: {path}")
         if info.st_size > MAX_INPUT_BYTES:
             raise OSError(f"{path} is {info.st_size} bytes, over the {limit}")
-        # and the read is bounded too, at one byte past the limit: a regular
-        # file may hold more than its size says, as /proc/self/pagemap does
-        # (size 0). Asking for the size plus one byte spares the common case
-        # a buffer of the whole limit.
-        with open(os.fspath(path), "rb") as file:  # fspath: never a file descriptor
+        # the path may name another file by the time it is opened: O_NONBLOCK
+        # opens a FIFO swapped in since at once, and fstat refuses it. The
+        # read is bounded too, at one byte past the limit: a regular file may
+        # hold more than its size says, as /proc/self/pagemap does (size 0).
+        # Asking for the size plus one byte spares the common case a buffer
+        # of the whole limit.
+        fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+        if not stat.S_ISREG(os.fstat(fd).st_mode):
+            os.close(fd)
+            raise OSError(f"not a regular file: {path}")
+        with open(fd, "rb") as file:
             data = file.read(info.st_size + 1)
             if len(data) > info.st_size:
                 data += file.read(MAX_INPUT_BYTES - info.st_size)

@@ -414,6 +414,19 @@ def test_child_process(argv, stdout, stderr, expected, tmp_path):
         assert main(["replay", str(tmp_path / "t.jsonl")]) == 0
 
 
+def test_fifo_swapped_in_after_the_stat_is_refused(tmp_path):
+    # os.stat calls the FIFO a regular file, as when one is swapped in after
+    # the stat; a reader that opened it would wait for a writer until the timeout
+    os.mkfifo(tmp_path / "t.fifo")
+    script = ("import os, stat, sys; from cardauthsim.adversary import read_text; s = os.stat\n"
+              "os.stat = lambda path: os.stat_result([stat.S_IFREG, *s(path)[1:]])\n"
+              "try: read_text(sys.argv[1])\nexcept OSError as exc: print(exc)\n")
+    result = subprocess.run([sys.executable, "-c", script, str(tmp_path / "t.fifo")],
+                            capture_output=True, timeout=10, env={**os.environ, "PYTHONPATH": SRC})
+    assert (result.returncode, result.stdout, result.stderr) == (
+        0, f"not a regular file: {tmp_path}/t.fifo\n".encode(), b"")
+
+
 class TestVectors:
     def test_prints_pinned_digests(self, capsys):
         code = main(["vectors"])

@@ -235,7 +235,8 @@ class SchemeModel(RuleBasedStateMachine):
         assert error is self.verdict(forged.identity, reply.timestamp, window,
                                      self.current(login.held))
 
-    @rule(identity=st.sampled_from(IDENTITIES + (UNREGISTERED, MALFORMED)), authenticator=blocks,
+    @rule(identity=st.sampled_from(IDENTITIES + (UNREGISTERED, MALFORMED, "", "a" * 65, "alïce")),
+          authenticator=blocks,
           offset=st.integers(-6, 1), stamp=st.sampled_from([None, -1, CLOCK_LIMIT]),
           window=windows | st.just(2 * CLOCK_LIMIT))
     def send_junk(self, identity, authenticator, offset, stamp, window):
