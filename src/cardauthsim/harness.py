@@ -160,8 +160,6 @@ class Transcript(NamedTuple):
         TranscriptParseError when line 1 is not a canonical config line or a line
         lacks its newline, ScenarioError when the config cannot run, and
         ReplayMismatch at the first event line that differs from the run's."""
-        if not text:
-            raise TranscriptParseError("empty transcript")
         if not text.endswith("\n"):
             last = text.count("\n") + 1
             raise TranscriptParseError(f"line {last} does not end in a newline")

@@ -1,4 +1,4 @@
-"""Mutation runner: tier-1 must fail under each of sixteen one-line edits of `src`.
+"""Mutation runner: tier-1 must fail under each of 25 one-line edits of `src`.
 
 Run `python tests/mutants.py`; it takes no options. Each edit is made in a temporary
 copy of src/, tests/, data/, golden/ and pyproject.toml, where a conftest.py turns
@@ -24,10 +24,15 @@ CONFTEST = ("from hypothesis import Phase, settings\n"
 
 SCHEME, BLOCKS = "src/cardauthsim/scheme.py", "src/cardauthsim/blocks.py"
 ADVERSARY, HARNESS = "src/cardauthsim/adversary.py", "src/cardauthsim/harness.py"
+CLI = "src/cardauthsim/cli.py"
 FRESH = "    return earliest <= stamp <= latest and 0 <= stamp < TIMESTAMP_LIMIT"
 WINDOW = "        if not _fresh(request.timestamp, received_at - window, received_at):"
 REPLY = "    if not _fresh(response.timestamp, session.sent_at, session.sent_at + window):"
 PAIRS = 'zip_longest(text[:-1].split("\\n")[1:], fresh[:-1].split("\\n")[1:])'
+# read_text's first check, with its line before it: the fstat check raises the same text
+FIRST = ('        if not stat.S_ISREG(info.st_mode):\n'
+         '            raise OSError(f"not a regular file: {path}")')
+VERDICT = "        return self.attack_verdict(changed and not victim_ok and attacker_ok)"
 
 # number, what it breaks, file, old text, new text; number 8, a check of the
 # transcript parser, lost its target when replay became a re-run
@@ -64,6 +69,25 @@ MUTATIONS = [
     (16, "the server-clock check removed", SCHEME,
      "        if not 0 <= received_at < TIMESTAMP_LIMIT:", "        if False:"),
     (17, "zip for zip_longest in from_jsonl", HARNESS, PAIRS, PAIRS.replace("zip_longest", "zip")),
+    (18, "a dictionary that is not a string allowed", HARNESS,
+     '            raise ScenarioError("dictionary must be a path string or null")',
+     "            pass"),
+    (19, "read_text opens what is not a regular file", ADVERSARY, FIRST,
+     FIRST.replace('raise OSError(f"not a regular file: {path}")', "pass")),
+    (20, "read_text refuses a file of exactly the size limit", ADVERSARY,
+     "        if info.st_size > MAX_INPUT_BYTES:", "        if info.st_size >= MAX_INPUT_BYTES:"),
+    (21, "read_text leaves the refused descriptor open", ADVERSARY,
+     "            os.close(fd)", "            pass"),
+    (22, "main leaves stderr unflushed", CLI,
+     "            sys.stderr.flush()", "            pass"),
+    (23, "a 64-character password refused", BLOCKS,
+     "    if len(password) > MAX_TEXT_LEN:", "    if len(password) >= MAX_TEXT_LEN:"),
+    (24, "a hijack that leaves the victim a way in succeeds", HARNESS, VERDICT,
+     VERDICT.replace(" and ", " or ")),
+    (25, "verify_login looks up an unknown identity", SCHEME,
+     "        if request.identity not in self.accounts:", "        if False:"),
+    (26, "an unknown insider entry mode accepted", ADVERSARY,
+     "    if mode not in INSIDER_MODES:", "    if False:"),
 ]
 
 

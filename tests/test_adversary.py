@@ -9,14 +9,11 @@ from hypothesis import strategies as st
 
 from cardauthsim import adversary, scheme
 from cardauthsim.adversary import (
-    INSIDER_SUPPLY_DIGEST,
-    INSIDER_SUPPLY_VERIFIER,
     CardSecrets,
     RegistrationRecord,
     Wordlist,
     insider_change_password,
     offline_guess,
-    outsider_change_password,
 )
 from cardauthsim.blocks import Block, xor
 from cardauthsim.scheme import (
@@ -174,37 +171,10 @@ class TestOfflineGuess:
         assert calls == {"hash": 150, "xor": 150}
 
 
-class TestOutsiderChangePassword:
-    def test_same_new_password_leaves_card_identical(self):
-        _, card = _setup()
-        before = card.masked_verifier
-        outsider_change_password(card, PASSWORD, PASSWORD)
-        assert card.masked_verifier == before
-
-    def test_fails_when_recovery_was_wrong(self):
-        _, card = _setup()
-        with pytest.raises(PasswordChangeRejected):
-            outsider_change_password(card, "mis-guessed", "evil")
-
-
 class TestInsiderChangePassword:
     def _record_for(self, card, password=PASSWORD):
         return RegistrationRecord(password_digest(password, card.salt),
                                   card.verifier, card.masked_verifier)
-
-    def test_registration_identity_holds_on_fresh_card(self):
-        _, card = _setup()
-        record = self._record_for(card)
-        assert xor(card.masked_verifier, record.password_digest) == record.verifier
-
-    def test_both_modes_land_on_the_same_card_state(self):
-        _, first = _setup()
-        _, second = _setup()
-        insider_change_password(first, self._record_for(first), "evil",
-                                mode=INSIDER_SUPPLY_VERIFIER)
-        insider_change_password(second, self._record_for(second), "evil",
-                                mode=INSIDER_SUPPLY_DIGEST)
-        assert first.masked_verifier == second.masked_verifier
 
     def test_keying_in_the_verifier_is_rejected(self):
         _, card = _setup()

@@ -34,12 +34,17 @@ class TestDemo:
         assert code == 0
         assert err.strip().split("\n")[-1] == "accepted"
 
-    def test_attack_failure_maps_to_exit_one(self, capsys):
-        # window 1 is too tight for the canned two-tick relay
-        code = main(["demo", "parallel-session", "--seed", "1", "--window", "1"])
-        _, err = capsys.readouterr()
-        assert code == 1
-        assert err.strip().split("\n")[-1] == "attack-failed"
+    def test_attack_failure_maps_to_exit_one(self, tmp_path, capsys):
+        # window 1 is too tight for the canned two-tick relay; a victim whose
+        # password is the one the attacker sets still logs in after the change
+        words = tmp_path / "words.txt"
+        words.write_text("hijacked-by-mallory\n", encoding="utf-8")
+        for argv in (["parallel-session", "--seed", "1", "--window", "1"],
+                     ["outsider-change", "--dictionary", str(words)]):
+            code = main(["demo", *argv])
+            _, err = capsys.readouterr()
+            assert code == 1, argv
+            assert err.strip().split("\n")[-1] == "attack-failed", argv
 
     def test_offline_guess_with_dictionary(self, capsys):
         code = main(["demo", "offline-guess", "--seed", "7", "--dictionary", DICT_PATH])
@@ -175,6 +180,18 @@ def test_config_refused_alike_by_demo_and_replay(argv, header, error, tmp_path, 
     assert capsys.readouterr() == ("", f"error: {error}\n")
 
 
+def test_dictionary_that_is_not_a_string_is_refused_by_replay(tmp_path, capsys):
+    # demo passes only strings, so only a header can hold one; unchecked, a list
+    # made os.stat raise TypeError, and 1 or true made it stat file descriptor 1
+    transcript = tmp_path / "t.jsonl"
+    for dictionary in (1, True, ["a"]):
+        header = {"dictionary": dictionary, "scenario": "offline-guess", "seed": 0, "window": 5}
+        transcript.write_text(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n",
+                              encoding="utf-8")
+        assert main(["replay", str(transcript)]) == 1, dictionary
+        assert capsys.readouterr() == ("", "error: dictionary must be a path string or null\n")
+
+
 def _human_fields(line):
     """The (key, value) fields of a `--format human` line, each value read as JSON."""
     detail = line.split(None, 4)[4]
@@ -213,19 +230,27 @@ class TestReplayCommand:
         assert code == 1
         assert out.startswith("mismatch at seq 2")
 
-    def test_missing_file_is_io_error(self, capsys):
-        # "a\0b" and "\ud800" cannot name a file; /dev/null is not a regular file
-        for path in ("/no/such/transcript.jsonl", "a\u0000b", "\ud800", "/dev/null"):
+    def test_missing_file_is_io_error(self, tmp_path, monkeypatch, capsys):
+        # "a\0b" and "\ud800" cannot name a file; /dev/null and a directory are
+        # not regular files, refused before they are opened: a device may never end
+        opened = _record_opens(monkeypatch)
+        for path in ("/no/such/transcript.jsonl", "a\u0000b", "\ud800", "/dev/null",
+                     str(tmp_path)):
             code = main(["replay", path])
             _, err = capsys.readouterr()
             assert code == 1, path
             assert err.startswith("error: "), path
+        assert opened == []
 
     def test_file_over_the_size_limit_is_refused_unread(self, monkeypatch, capsys):
-        # the size comes from the stat that read_text takes anyway
+        # the size comes from the stat that read_text takes anyway; a file of
+        # exactly the limit is read
+        opened = _record_opens(monkeypatch)
+        monkeypatch.setattr(os, "stat", _stat_with_size(GOLDEN, adversary.MAX_INPUT_BYTES))
+        assert (main(["replay", str(GOLDEN)]), opened) == (0, [str(GOLDEN)])
+        assert capsys.readouterr() == ("verified (16 events)\n", "")
+        opened.clear()
         monkeypatch.setattr(os, "stat", _stat_with_size(GOLDEN, adversary.MAX_INPUT_BYTES + 1))
-        opened = []
-        monkeypatch.setattr(Path, "open", lambda path, *args: opened.append(path))
         code = main(["replay", str(GOLDEN)])
         _, err = capsys.readouterr()
         assert (code, opened) == (1, [])
@@ -304,6 +329,14 @@ def test_replay_never_echoes_a_named_file(data, stdout, detail, tmp_path, capsys
     assert (out, err) == (stdout, detail and f"error: malformed dictionary {named}: {detail}\n")
 
 
+def _record_opens(monkeypatch):
+    """The paths that os.open is called with from now on."""
+    opened, real_open = [], os.open
+    monkeypatch.setattr(os, "open",
+                        lambda path, *args: opened.append(path) or real_open(path, *args))
+    return opened
+
+
 def _stat_with_size(target, size):
     """os.stat, with `size` as the st_size of `target`."""
     real_stat = os.stat
@@ -350,6 +383,21 @@ def test_stderr_that_cannot_be_written_is_status_one(argv, status, monkeypatch, 
     assert main(argv) == status
     monkeypatch.setattr(sys, "stderr", FullStdout())
     assert main(argv) == 1
+
+
+class FullDevice(io.RawIOBase):
+    def writable(self):
+        return True
+
+    def write(self, data):
+        raise OSError(28, "No space left on device")
+
+
+def test_stderr_that_fails_only_when_flushed_is_status_one(tmp_path, monkeypatch):
+    # a stderr that is not line-buffered holds the text until main flushes it
+    stderr = io.TextIOWrapper(FullDevice(), encoding="utf-8", line_buffering=False)
+    monkeypatch.setattr(sys, "stderr", stderr)
+    assert main(["demo", "honest", "--out", str(tmp_path / "t.jsonl")]) == 1
 
 
 # what the installed `cardauthsim` console script runs
@@ -416,15 +464,19 @@ def test_child_process(argv, stdout, stderr, expected, tmp_path):
 
 def test_fifo_swapped_in_after_the_stat_is_refused(tmp_path):
     # os.stat calls the FIFO a regular file, as when one is swapped in after
-    # the stat; a reader that opened it would wait for a writer until the timeout
+    # the stat; a reader that opened it would wait for a writer until the
+    # timeout. The descriptor it opens is closed by the refusal.
     os.mkfifo(tmp_path / "t.fifo")
-    script = ("import os, stat, sys; from cardauthsim.adversary import read_text; s = os.stat\n"
+    script = ("import os, stat, sys; from cardauthsim.adversary import read_text\n"
+              "s, o, fds = os.stat, os.open, []\n"
               "os.stat = lambda path: os.stat_result([stat.S_IFREG, *s(path)[1:]])\n"
-              "try: read_text(sys.argv[1])\nexcept OSError as exc: print(exc)\n")
+              "os.open = lambda *args: fds.append(o(*args)) or fds[-1]\n"
+              "try: read_text(sys.argv[1])\nexcept OSError as exc: print(exc)\n"
+              "try: os.fstat(fds[0])\nexcept OSError: print('closed')\n")
     result = subprocess.run([sys.executable, "-c", script, str(tmp_path / "t.fifo")],
                             capture_output=True, timeout=10, env={**os.environ, "PYTHONPATH": SRC})
     assert (result.returncode, result.stdout, result.stderr) == (
-        0, f"not a regular file: {tmp_path}/t.fifo\n".encode(), b"")
+        0, f"not a regular file: {tmp_path}/t.fifo\nclosed\n".encode(), b"")
 
 
 class TestVectors:

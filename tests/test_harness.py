@@ -173,7 +173,7 @@ class TestTranscript:
     def test_from_jsonl_rejects_garbage(self):
         with pytest.raises(TranscriptParseError):
             Transcript.from_jsonl("not json\n")
-        with pytest.raises(TranscriptParseError):
+        with pytest.raises(TranscriptParseError, match="^line 1 does not end in a newline$"):
             Transcript.from_jsonl("")
         with pytest.raises(TranscriptParseError):
             Transcript.from_jsonl('{"scenario":"honest"}\n')
@@ -355,7 +355,7 @@ class TestScenarios:
             run_scenario(ScenarioConfig(scenario="honest", window=True))
         with pytest.raises(ScenarioError, match="unknown scenario"):
             run_scenario(ScenarioConfig(scenario=["x"]))
-        with pytest.raises(ScenarioError, match="dictionary"):
+        with pytest.raises(ScenarioError, match="^dictionary must be a path string or null$"):
             run_scenario(ScenarioConfig(scenario="honest", dictionary_path=5))
         with pytest.raises(ScenarioError, match="seed"):
             run_scenario(ScenarioConfig(scenario="honest", seed=-5))

@@ -1,21 +1,13 @@
 """Value records: the wire messages, card, config and transcript records
-are immutable, the config keeps its defaults, and the two mutable objects
-(the card and the scenario run) keep their state per instance."""
+are immutable, the config keeps its defaults, and the scenario run keeps
+its state per instance."""
 
 import pytest
 
 from cardauthsim.adversary import CardSecrets, RegistrationRecord
-from cardauthsim.blocks import ONES_BLOCK, ZERO_BLOCK, Block, xor
+from cardauthsim.blocks import ONES_BLOCK, ZERO_BLOCK, Block
 from cardauthsim.harness import Event, ScenarioConfig, ScenarioError, Transcript, _Run
-from cardauthsim.scheme import (
-    DEFAULT_WINDOW,
-    AuthServer,
-    LoginRequest,
-    ServerResponse,
-    UserSession,
-    enroll,
-    password_digest,
-)
+from cardauthsim.scheme import DEFAULT_WINDOW, LoginRequest, ServerResponse, UserSession
 
 SALT = Block(bytes(range(32)))
 
@@ -59,11 +51,3 @@ def test_runs_do_not_share_their_events():
     first.record("server", "state-change", {"action": "x"})
     assert (len(first.events), len(second.events)) == (1, 0)
     assert (first.now, second.now) == (1, 0)
-
-
-def test_change_password_mutates_the_card_in_place():
-    card = enroll(AuthServer(ZERO_BLOCK), "alice", "old-password", SALT)
-    before = card.masked_verifier
-    card.change_password("old-password", "new-password")
-    assert card.masked_verifier != before
-    assert card.masked_verifier == xor(card.verifier, password_digest("new-password", SALT))

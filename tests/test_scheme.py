@@ -66,35 +66,6 @@ class TestKnownAnswers:
 
 
 class TestVerifyLogin:
-    def test_honest_login_accepts(self):
-        server, card = _fresh_setup()
-        request, _ = card.login(IDENT, PASSWORD, 10)
-        response = server.verify_login(request, 11)
-        assert response.timestamp == 11
-
-    def test_wrong_password_rejected_as_bad_authenticator(self):
-        server, card = _fresh_setup()
-        request, _ = card.login(IDENT, "not-the-password", 10)
-        with pytest.raises(BadAuthenticator):
-            server.verify_login(request, 11)
-
-    def test_replay_outside_window_is_stale(self):
-        server, card = _fresh_setup()
-        request, _ = card.login(IDENT, PASSWORD, 10)
-        with pytest.raises(StaleTimestamp):
-            server.verify_login(request, 10 + 5 + 1, window=5)
-
-    def test_window_boundary_still_accepts(self):
-        server, card = _fresh_setup()
-        request, _ = card.login(IDENT, PASSWORD, 10)
-        assert server.verify_login(request, 15, window=5)
-
-    def test_future_dated_request_is_stale(self):
-        server, card = _fresh_setup()
-        request, _ = card.login(IDENT, PASSWORD, 10)
-        with pytest.raises(StaleTimestamp):
-            server.verify_login(request, 9)
-
     def test_timestamp_outside_clock_range_is_stale(self):
         server, _ = _fresh_setup()
         with pytest.raises(StaleTimestamp):
@@ -126,22 +97,6 @@ class TestVerifyLogin:
 
 
 class TestMutualAuth:
-    def test_honest_round_trip_accepts(self):
-        server, card = _fresh_setup()
-        request, session = card.login(IDENT, PASSWORD, 10)
-        response = server.verify_login(request, 11)
-        verify_mutual_auth(session, response)
-
-    def test_flipped_response_byte_rejected(self):
-        server, card = _fresh_setup()
-        request, session = card.login(IDENT, PASSWORD, 10)
-        response = server.verify_login(request, 11)
-        tampered = ServerResponse(
-            Block(bytes([response.authenticator[0] ^ 0xFF]) + response.authenticator[1:]),
-            response.timestamp)
-        with pytest.raises(BadAuthenticator):
-            verify_mutual_auth(session, tampered)
-
     def test_response_predating_login_is_stale(self):
         server, card = _fresh_setup()
         request, session = card.login(IDENT, PASSWORD, 10)
