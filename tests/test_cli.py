@@ -20,20 +20,6 @@ GOLDEN = Path(__file__).parent.parent / "golden" / "parallel_session_seed42.json
 
 
 class TestDemo:
-    def test_parallel_session_succeeds(self, capsys):
-        code = main(["demo", "parallel-session", "--seed", "42"])
-        out, err = capsys.readouterr()
-        assert code == 0
-        assert err.strip().split("\n")[-1] == "attack-succeeded"
-        for line in out.strip().split("\n"):
-            json.loads(line)
-
-    def test_honest_accepts(self, capsys):
-        code = main(["demo", "honest", "--seed", "1"])
-        _, err = capsys.readouterr()
-        assert code == 0
-        assert err.strip().split("\n")[-1] == "accepted"
-
     def test_attack_failure_maps_to_exit_one(self, tmp_path, capsys):
         # window 1 is too tight for the canned two-tick relay; a victim whose
         # password is the one the attacker sets still logs in after the change
@@ -45,12 +31,6 @@ class TestDemo:
             _, err = capsys.readouterr()
             assert code == 1, argv
             assert err.strip().split("\n")[-1] == "attack-failed", argv
-
-    def test_offline_guess_with_dictionary(self, capsys):
-        code = main(["demo", "offline-guess", "--seed", "7", "--dictionary", DICT_PATH])
-        _, err = capsys.readouterr()
-        assert code == 0
-        assert err.strip().split("\n")[-1] == "attack-succeeded"
 
     def test_unreadable_dictionary_is_io_error(self, tmp_path, capsys):
         malformed = {"duplicate": b"a\nb\na\n", "blank-line": b"a\n\nb\n",
@@ -78,14 +58,6 @@ class TestDemo:
                                    "error: malformed dictionary")), path
             assert path in err, err
 
-    def test_out_writes_replayable_file(self, tmp_path, capsys):
-        out_file = tmp_path / "t.jsonl"
-        code = main(["demo", "honest", "--seed", "3", "--out", str(out_file)])
-        out, _ = capsys.readouterr()
-        assert code == 0
-        assert out == ""
-        assert main(["replay", str(out_file)]) == 0
-
     def test_out_that_cannot_be_written_is_error(self, tmp_path, monkeypatch):
         # a directory, the empty path (the current directory), and two
         # strings that cannot name a file at all; a StringIO takes the lone
@@ -108,13 +80,6 @@ class TestDemo:
         assert stderr.buffer.getvalue().startswith(b"error: cannot write \\ud800: ")
         monkeypatch.setattr(sys, "stderr", None)
         assert main(["demo", "honest", "--out", "\ud800"]) == 1
-
-    def test_stdout_identical_across_runs(self, capsys):
-        main(["demo", "parallel-session", "--seed", "42"])
-        first, _ = capsys.readouterr()
-        main(["demo", "parallel-session", "--seed", "42"])
-        second, _ = capsys.readouterr()
-        assert first == second
 
     def test_human_format(self, capsys):
         code = main(["demo", "honest", "--seed", "3", "--format", "human"])
@@ -149,9 +114,6 @@ class TestDemo:
             assert _human_fields(line) == [("action", "offline-guess"), ("password", word),
                                            ("probes", 1), ("result", "found"),
                                            ("wordlist_size", 1)]
-
-    def test_unknown_scenario_is_usage_error(self, capsys):
-        assert main(["demo", "replay-everything"]) == 2
 
 
 @pytest.mark.parametrize("argv, header, error", [
@@ -206,15 +168,6 @@ def _human_fields(line):
 
 
 class TestReplayCommand:
-    def test_verifies_unmodified_file(self, tmp_path, capsys):
-        out_file = tmp_path / "t.jsonl"
-        main(["demo", "parallel-session", "--seed", "42", "--out", str(out_file)])
-        capsys.readouterr()
-        code = main(["replay", str(out_file)])
-        out, _ = capsys.readouterr()
-        assert code == 0
-        assert out.startswith("verified")
-
     def test_detects_tampering(self, tmp_path, capsys):
         out_file = tmp_path / "t.jsonl"
         main(["demo", "honest", "--seed", "5", "--out", str(out_file)])
@@ -480,13 +433,6 @@ def test_fifo_swapped_in_after_the_stat_is_refused(tmp_path):
 
 
 class TestVectors:
-    def test_prints_pinned_digests(self, capsys):
-        code = main(["vectors"])
-        out, _ = capsys.readouterr()
-        assert code == 0
-        for name, hexdigest in GOLDEN_DIGESTS.items():
-            assert f"{name} {hexdigest}" in out
-
     def test_digest_that_differs_from_its_pin_is_error(self, monkeypatch, capsys):
         assert main(["vectors"]) == 0
         assert capsys.readouterr().out == (

@@ -88,13 +88,6 @@ def assert_channel_conserved(transcript):
 class TestClock:
     """The run owns the logical clock and stamps each event it records."""
 
-    def test_starts_at_zero_and_steps(self):
-        run = harness._Run(config_for("honest"))
-        assert (run.now, run.events) == (0, [])
-        run.now += 10
-        run.record("server", "state-change", {"action": "x"})
-        assert run.events[-1].time == run.now == 10
-
     def test_record_stamps_now_with_seq_equal_to_position(self):
         run = harness._Run(config_for("honest"))
         for tick in range(5):
@@ -156,20 +149,6 @@ class TestDraws:
 
 
 class TestTranscript:
-    def test_jsonl_round_trip(self):
-        transcript = run_scenario(config_for("honest", seed=3))
-        text = transcript.to_jsonl()
-        parsed = Transcript.from_jsonl(text)
-        assert parsed.config == transcript.config
-        assert parsed.events == transcript.events
-        assert parsed.to_jsonl() == text
-
-    def test_every_line_is_valid_json(self):
-        text = run_scenario(config_for("parallel-session", seed=1)).to_jsonl()
-        lines = text.strip().split("\n")
-        for line in lines:
-            json.loads(line)
-
     def test_from_jsonl_rejects_garbage(self):
         with pytest.raises(TranscriptParseError):
             Transcript.from_jsonl("not json\n")
@@ -229,33 +208,12 @@ class TestTranscript:
 
 
 class TestScenarios:
-    def test_expected_outcomes(self):
-        expected = {
-            "honest": "accepted",
-            "offline-guess": "attack-succeeded",
-            "outsider-change": "attack-succeeded",
-            "insider-change": "attack-succeeded",
-            "parallel-session": "attack-succeeded",
-        }
-        for scenario, outcome in expected.items():
-            transcript = run_scenario(config_for(scenario, seed=42))
-            assert transcript.outcome() == outcome, scenario
-
     def test_outcomes_stable_across_seeds(self):
         for seed in (0, 1, 7, 1234):
             for scenario in SCENARIOS:
                 transcript = run_scenario(config_for(scenario, seed=seed))
                 expected = "accepted" if scenario == "honest" else "attack-succeeded"
                 assert transcript.outcome() == expected
-
-    def test_honest_run_has_no_intruder_events(self):
-        transcript = run_scenario(config_for("honest", seed=5))
-        assert all(e.actor != "intruder" for e in transcript.events)
-
-    def test_all_scenarios_bounded_below_hundred_events(self):
-        for scenario in SCENARIOS:
-            transcript = run_scenario(config_for(scenario, seed=11))
-            assert len(transcript.events) < 100, scenario
 
     def test_channel_conservation_everywhere(self):
         shapes = set()
@@ -270,39 +228,12 @@ class TestScenarios:
         assert shapes == {("send", "deliver"), ("send", "intercept", "deliver"),
                                ("send", "drop")}
 
-    def test_same_config_gives_identical_bytes(self):
-        for scenario in SCENARIOS:
-            config = config_for(scenario, seed=42)
-            first = run_scenario(config).to_jsonl()
-            second = run_scenario(config).to_jsonl()
-            assert first == second, scenario
-
-    def test_different_seeds_give_different_transcripts(self):
-        a = run_scenario(config_for("honest", seed=1)).to_jsonl()
-        b = run_scenario(config_for("honest", seed=2)).to_jsonl()
-        assert a != b
-
-    def test_event_times_never_rewind(self):
-        for scenario in SCENARIOS:
-            transcript = run_scenario(config_for(scenario, seed=13))
-            times = [e.time for e in transcript.events]
-            assert times == sorted(times), scenario
-
     def test_parallel_session_respects_small_windows(self):
         # the canned relay lands two ticks after the observed reply
         ok = run_scenario(config_for("parallel-session", seed=3, window=2))
         assert ok.outcome() == "attack-succeeded"
         late = run_scenario(config_for("parallel-session", seed=3, window=1))
         assert late.outcome() == "attack-failed"
-
-    def test_timeline_matches_defaults(self):
-        transcript = run_scenario(config_for("honest", seed=0))
-        registration = transcript.events[0]
-        assert registration.time == 0
-        sends = [e for e in transcript.events if e.kind == "send"]
-        assert sends[0].time == 10
-        first_deliver = next(e for e in transcript.events if e.kind == "deliver")
-        assert first_deliver.time == 11
 
     def test_event_bytes_pinned_across_scenarios_seeds_and_windows(self):
         # Pins every scenario's behaviour byte for byte. Only the event
@@ -426,10 +357,6 @@ class TestReplay:
         path.write_text(run_scenario(config).to_jsonl(), encoding="utf-8")
         return path
 
-    def test_fresh_transcript_verifies(self, tmp_path):
-        path = self._write(tmp_path, config_for("parallel-session", seed=42))
-        assert replay_transcript(path) == 16
-
     def test_every_scenario_replays(self, tmp_path):
         for scenario in SCENARIOS:
             path = tmp_path / f"{scenario}.jsonl"
@@ -485,20 +412,6 @@ class TestReplay:
         with pytest.raises(ReplayMismatch) as exc:
             replay_transcript(path)
         assert exc.value.seq == len(lines) - 1
-
-    def test_unparseable_file_raises_parse_error(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        path.write_text("definitely not json\n", encoding="utf-8")
-        with pytest.raises(TranscriptParseError):
-            replay_transcript(path)
-
-    def test_unreadable_path_is_os_error(self):
-        # "a\0b" and "\ud800" cannot name a file; /dev/null is not a regular
-        # file. A FIFO is the fifo row of test_cli.py::test_child_process, a
-        # child process whose timeout ends a reader that blocks on it.
-        for path in ("/nonexistent", "a\u0000b", "\ud800", "/dev/null"):
-            with pytest.raises(OSError):
-                replay_transcript(path)
 
     def test_line_endings_are_compared_byte_for_byte(self, tmp_path):
         golden = GOLDEN.read_bytes()
