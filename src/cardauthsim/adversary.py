@@ -40,17 +40,19 @@ MAX_INPUT_BYTES = 16 * 2**20
 def read_text(path: str | Path) -> str:
     """The one reader of an input file: the strict UTF-8 text of a regular
     file of at most MAX_INPUT_BYTES, by its size and by what it reads.
-    OSError: unreadable, not a regular file or too large; ValueError: bytes
-    that are not UTF-8, naming the line."""
+    OSError: unreadable, not a regular file or too large, with the path
+    quoted and escaped as the OS's own errors show it, since a transcript
+    header can name any path; ValueError: bytes that are not UTF-8, naming
+    the line."""
     limit = f"{MAX_INPUT_BYTES}-byte limit for an input file"
     try:
         # checked before opening: a FIFO would block, a device never end and
         # a huge file not fit in memory
         info = os.stat(path)
         if not stat.S_ISREG(info.st_mode):
-            raise OSError(f"not a regular file: {path}")
+            raise OSError(f"not a regular file: {str(path)!r}")
         if info.st_size > MAX_INPUT_BYTES:
-            raise OSError(f"{path} is {info.st_size} bytes, over the {limit}")
+            raise OSError(f"{str(path)!r} is {info.st_size} bytes, over the {limit}")
         # the path may name another file by the time it is opened: O_NONBLOCK
         # opens a FIFO swapped in since at once, and fstat refuses it. The
         # read is bounded too, at one byte past the limit: a regular file may
@@ -60,15 +62,15 @@ def read_text(path: str | Path) -> str:
         fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
         if not stat.S_ISREG(os.fstat(fd).st_mode):
             os.close(fd)
-            raise OSError(f"not a regular file: {path}")
+            raise OSError(f"not a regular file: {str(path)!r}")
         with open(fd, "rb") as file:
             data = file.read(info.st_size + 1)
             if len(data) > info.st_size:
                 data += file.read(MAX_INPUT_BYTES - info.st_size)
         if len(data) > MAX_INPUT_BYTES:
-            raise OSError(f"{path} is over the {limit}")
+            raise OSError(f"{str(path)!r} is over the {limit}")
     except ValueError as exc:  # the OS call refuses a path with a NUL or a lone surrogate
-        raise OSError(f"unusable path {path!r}: {exc}") from None
+        raise OSError(f"unusable path {str(path)!r}: {exc}") from None
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:

@@ -212,7 +212,7 @@ class _Run:
                 raise ScenarioError(f"cannot read dictionary: {exc}") from None
             except ValueError as exc:
                 raise ScenarioError(
-                    f"malformed dictionary {config.dictionary_path}: {exc}") from None
+                    f"malformed dictionary {config.dictionary_path!r}: {exc}") from None
             self.victim_password = self.wordlist[self.rng.randrange(len(self.wordlist))]
         else:
             self.victim_password = _random_password(self.rng)

@@ -1,6 +1,6 @@
 """Mutation runner: the suite must fail under every mutant of `src`.
 
-Run `python tests/mutants.py`; it takes no options. The mutants are the 25 hand
+Run `python tests/mutants.py`; it takes no options. The mutants are the 12 hand
 rows of HAND and those that stdlib `ast` generates over every module of src by
 five operators: an `if`, `elif` or `while` condition set to `False` and to
 `True`; a one-line `raise` set to `pass`; a bare `flush`, `close` or `os.close`
@@ -14,7 +14,7 @@ Each mutant is judged by one command, JUDGE, in a temporary copy of src/,
 tests/, data/, golden/ and pyproject.toml, where a conftest.py turns hypothesis
 shrinking off. JUDGE leaves out tests/test_model.py, whose derandomized draws can
 move with a hypothesis release, so no kill rests on the model. A timeout is a
-kill too. 228 mutants took 14 minutes on a shared 2-vCPU VM with Python 3.11.
+kill too. 228 mutants took 13 minutes on a shared 2-vCPU VM with Python 3.11.
 
 Exit status 1, before any run, when a hand row's old text is not found exactly
 once or an EQUIVALENT entry does not match exactly one generated mutant; and
@@ -47,30 +47,21 @@ FRESH = "    return earliest <= stamp <= latest and 0 <= stamp < TIMESTAMP_LIMIT
 WINDOW = "        if not _fresh(request.timestamp, received_at - window, received_at):"
 REPLY = "    if not _fresh(response.timestamp, session.sent_at, session.sent_at + window):"
 PAIRS = 'zip_longest(text[:-1].split("\\n")[1:], fresh[:-1].split("\\n")[1:])'
-# read_text's first check, with its line before it: the fstat check raises the same text
-FIRST = ('        if not stat.S_ISREG(info.st_mode):\n'
-         '            raise OSError(f"not a regular file: {path}")')
-VERDICT = "        return self.attack_verdict(changed and not victim_ok and attacker_ok)"
 
-# number, what it breaks, file, old text, new text; number 8, a check of the
-# transcript parser, lost its target when replay became a re-run
+# number, what it breaks, file, old text, new text: edits that no operator
+# makes. Number 8, a check of the transcript parser, lost its target when
+# replay became a re-run; the other missing numbers gave the same module as a
+# generated mutant.
 HAND = [
     (1, "_fresh without its clock range", SCHEME, FRESH, FRESH.split(" and")[0]),
     (2, "_fresh without its lower edge", SCHEME, FRESH, FRESH.replace("earliest <= ", "")),
-    (3, "remask accepts any old digest", SCHEME,
-     '            raise PasswordChangeRejected("old password does not unmask the verifier")',
-     "            pass"),
     (4, "verify_login window from tick 0", SCHEME, WINDOW,
      WINDOW.replace("received_at - window", "0")),
     (5, "mutual-auth window one tick wider", SCHEME, REPLY, REPLY.replace("window", "window + 1")),
-    (6, "mutual-auth proof check skipped", SCHEME, "    if not hmac.compare_digest("
-     "response.authenticator, proof(session.secret, response.timestamp)):", "    if False:"),
     (7, "re-registration keeps the counter", SCHEME,
      "            self.accounts[identity] += 1", "            self.accounts[identity] += 0"),
     (9, "a negative seed allowed", HARNESS,
      "        if type(seed) is not int or seed < 0:", "        if type(seed) is not int:"),
-    (10, "wordlist repeats allowed", ADVERSARY,
-     "            if word in seen:", "            if False:"),
     (11, "encode_timestamp without its upper bound", BLOCKS,
      "    if not 0 <= ticks < TIMESTAMP_LIMIT:", "    if not 0 <= ticks:"),
     (12, "identities admit a space", BLOCKS,
@@ -84,28 +75,7 @@ HAND = [
      "        candidate = self.verifier"),
     (15, "verify_login uses DEFAULT_WINDOW for its window", SCHEME, WINDOW,
      WINDOW.replace("- window", "- DEFAULT_WINDOW")),
-    (16, "the server-clock check removed", SCHEME,
-     "        if not 0 <= received_at < TIMESTAMP_LIMIT:", "        if False:"),
     (17, "zip for zip_longest in from_jsonl", HARNESS, PAIRS, PAIRS.replace("zip_longest", "zip")),
-    (18, "a dictionary that is not a string allowed", HARNESS,
-     '            raise ScenarioError("dictionary must be a path string or null")',
-     "            pass"),
-    (19, "read_text opens what is not a regular file", ADVERSARY, FIRST,
-     FIRST.replace('raise OSError(f"not a regular file: {path}")', "pass")),
-    (20, "read_text refuses a file of exactly the size limit", ADVERSARY,
-     "        if info.st_size > MAX_INPUT_BYTES:", "        if info.st_size >= MAX_INPUT_BYTES:"),
-    (21, "read_text leaves the refused descriptor open", ADVERSARY,
-     "            os.close(fd)", "            pass"),
-    (22, "main leaves stderr unflushed", CLI,
-     "            sys.stderr.flush()", "            pass"),
-    (23, "a 64-character password refused", BLOCKS,
-     "    if len(password) > MAX_TEXT_LEN:", "    if len(password) >= MAX_TEXT_LEN:"),
-    (24, "a hijack that leaves the victim a way in succeeds", HARNESS, VERDICT,
-     VERDICT.replace(" and ", " or ")),
-    (25, "verify_login looks up an unknown identity", SCHEME,
-     "        if request.identity not in self.accounts:", "        if False:"),
-    (26, "an unknown insider entry mode accepted", ADVERSARY,
-     "    if mode not in INSIDER_MODES:", "    if False:"),
 ]
 
 # generated mutants that behave as the program does wherever a test can reach,

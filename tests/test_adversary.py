@@ -18,10 +18,8 @@ from cardauthsim.adversary import (
 from cardauthsim.blocks import Block, xor
 from cardauthsim.scheme import (
     AuthServer,
-    LoginRequest,
     PasswordChangeRejected,
     enroll,
-    message_to_wire,
     password_digest,
 )
 
@@ -50,12 +48,6 @@ def _wordlist_without(password, size, rng):
 
 
 class TestWordlist:
-    def test_preserves_order(self):
-        wl = Wordlist(["b", "a", "c"])
-        assert list(wl) == ["b", "a", "c"]
-        assert len(wl) == 3
-        assert "a" in wl and "z" not in wl
-
     def test_rejects_duplicates_blanks_and_empty(self):
         # errors name the 1-based entry, and a duplicate both entries, never the word
         with pytest.raises(ValueError, match=r"^entry 3 repeats entry 1$"):
@@ -73,13 +65,6 @@ class TestWordlist:
         path.write_text("one\ntwo\nthree", encoding="utf-8")
         assert list(Wordlist.load(path)) == ["one", "two", "three"]
 
-    def test_load_rejects_blank_line(self, tmp_path):
-        path = tmp_path / "words.txt"
-        path.write_text("one\n\ntwo\n", encoding="utf-8")
-        # the rule Wordlist applies to every entry
-        with pytest.raises(ValueError, match="entry 2: password must not be empty"):
-            Wordlist.load(path)
-
     def test_load_names_the_line_of_bad_bytes_or_a_carriage_return(self, tmp_path):
         path = tmp_path / "words.txt"
         for data, message in ((b"a\n\xff\xfe\n", "line 2: not UTF-8"),
@@ -95,32 +80,17 @@ class TestWordlist:
         # "a\0b" and "\ud800" cannot name a file; /dev/null is not a regular
         # file. A FIFO is the dictionary-fifo row of test_cli.py::test_child_process,
         # a child process whose timeout ends a reader that blocks on it.
+        # A str and a Path of one name are refused with the same text.
         for path in ("/nonexistent", "a\u0000b", "\ud800", "/dev/null"):
-            with pytest.raises(OSError):
-                Wordlist.load(path)
-
-    def test_shipped_dictionary_is_well_formed(self):
-        wl = Wordlist.load(Path(__file__).parent.parent / "data" / "dictionary.txt")
-        assert len(wl) == 1000
+            refusals = []
+            for name in (path, Path(path)):
+                with pytest.raises(OSError) as info:
+                    Wordlist.load(name)
+                refusals.append(str(info.value))
+            assert refusals[0] == refusals[1], refusals
 
 
 class TestOfflineGuess:
-    def test_single_candidate_hits_first_probe(self):
-        _, card = _setup()
-        request, _ = card.login(IDENT, PASSWORD, 10)
-        found = offline_guess(CardSecrets.from_card(card), request, Wordlist([PASSWORD]))
-        assert found == (PASSWORD, card.verifier)
-
-    def test_uses_only_breached_material(self):
-        # the scan never needs the server or an oracle beyond the
-        # intercepted request: rebuild it from the wire form alone
-        _, card = _setup()
-        request, _ = card.login(IDENT, PASSWORD, 10)
-        wire = message_to_wire(request)
-        off_the_wire = LoginRequest(wire["id"], Block(bytes.fromhex(wire["c2"])), wire["t"])
-        found = offline_guess(CardSecrets.from_card(card), off_the_wire, Wordlist([PASSWORD]))
-        assert found is not None
-
     @settings(max_examples=100, deadline=None)
     @given(master=blocks, salt=blocks, password=st.text(min_size=1, max_size=64),
            stamp=st.integers(min_value=0, max_value=2**64 - 1), data=st.data())

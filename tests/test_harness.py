@@ -1,4 +1,4 @@
-"""Scenario runner: clock, message trips, transcripts, determinism, replay."""
+"""Scenario runner: message trips, transcripts, determinism, replay."""
 
 import copy
 import hashlib
@@ -83,18 +83,6 @@ def assert_channel_conserved(transcript):
         assert (end.kind, end.time) == ("deliver", send.time + 1) or (
             (end.actor, end.kind, end.time) == ("intruder", "drop", send.time))
     return trips
-
-
-class TestClock:
-    """The run owns the logical clock and stamps each event it records."""
-
-    def test_record_stamps_now_with_seq_equal_to_position(self):
-        run = harness._Run(config_for("honest"))
-        for tick in range(5):
-            run.now += tick
-            run.record("server", "state-change", {"action": "x"})
-        assert [(event.seq, event.time) for event in run.events] == [
-            (0, 0), (1, 1), (2, 3), (3, 6), (4, 10)]
 
 
 class RecordingRandom(random.Random):
@@ -198,23 +186,8 @@ class TestTranscript:
             Transcript.from_jsonl(self._with_event1(lambda obj: {**obj, field: value}))
         assert info.value.seq == 1
 
-    def test_from_jsonl_rejects_reordered_events(self):
-        text = run_scenario(config_for("honest", seed=3)).to_jsonl()
-        lines = text.strip().split("\n")
-        lines[1], lines[2] = lines[2], lines[1]
-        with pytest.raises(ReplayMismatch) as info:
-            Transcript.from_jsonl("\n".join(lines) + "\n")
-        assert info.value.seq == 0
-
 
 class TestScenarios:
-    def test_outcomes_stable_across_seeds(self):
-        for seed in (0, 1, 7, 1234):
-            for scenario in SCENARIOS:
-                transcript = run_scenario(config_for(scenario, seed=seed))
-                expected = "accepted" if scenario == "honest" else "attack-succeeded"
-                assert transcript.outcome() == expected
-
     def test_channel_conservation_everywhere(self):
         shapes = set()
         for scenario in SCENARIOS:
@@ -305,17 +278,6 @@ class TestScenarios:
                 with pytest.raises(ScenarioError, match="cannot read dictionary"):
                     run_scenario(ScenarioConfig(scenario=scenario, dictionary_path=path))
 
-    def test_victim_password_comes_from_the_wordlist(self, tmp_path):
-        path = tmp_path / "tiny.txt"
-        path.write_text("only-entry\n", encoding="utf-8")
-        transcript = run_scenario(ScenarioConfig(scenario="offline-guess", seed=9,
-                                                 dictionary_path=str(path)))
-        guess = next(e for e in transcript.events
-                     if e.payload.get("action") == "offline-guess")
-        assert guess.payload["result"] == "found"
-        assert guess.payload["password"] == "only-entry"
-        assert guess.payload["probes"] == 1
-
 
 class TestNegativeControl:
     """The parallel-session forge works only because the server's reply
@@ -352,11 +314,6 @@ class TestNegativeControl:
 
 
 class TestReplay:
-    def _write(self, tmp_path, config) -> Path:
-        path = tmp_path / "run.jsonl"
-        path.write_text(run_scenario(config).to_jsonl(), encoding="utf-8")
-        return path
-
     def test_every_scenario_replays(self, tmp_path):
         for scenario in SCENARIOS:
             path = tmp_path / f"{scenario}.jsonl"
@@ -364,54 +321,12 @@ class TestReplay:
                             encoding="utf-8")
             replay_transcript(path)
 
-    def test_single_edited_hex_digit_detected(self, tmp_path):
-        path = self._write(tmp_path, config_for("honest", seed=42))
-        lines = path.read_text(encoding="utf-8").split("\n")
-        # event seq 2 is the login send; flip one authenticator digit
-        target = lines[3]
-        obj = json.loads(target)
-        c2 = obj["payload"]["message"]["c2"]
-        flipped = ("0" if c2[17] != "0" else "1")
-        obj["payload"]["message"]["c2"] = c2[:17] + flipped + c2[18:]
-        lines[3] = json.dumps(obj, sort_keys=True, separators=(",", ":"))
-        path.write_text("\n".join(lines), encoding="utf-8")
-        with pytest.raises(ReplayMismatch) as exc:
-            replay_transcript(path)
-        assert exc.value.seq == 2
-
     def test_bytes_that_are_not_utf8_name_their_line(self, tmp_path):
         head = b"".join(GOLDEN.read_bytes().splitlines(keepends=True)[:3])
         path = tmp_path / "bad.jsonl"
         path.write_bytes(head + b"\xff\n")
         with pytest.raises(ValueError, match="line 4: not UTF-8"):
             replay_transcript(path)
-
-    def test_edited_seed_diverges_at_first_random_event(self, tmp_path):
-        path = self._write(tmp_path, config_for("honest", seed=1))
-        lines = path.read_text(encoding="utf-8").split("\n")
-        config = json.loads(lines[0])
-        config["seed"] = 2
-        lines[0] = json.dumps(config, sort_keys=True, separators=(",", ":"))
-        path.write_text("\n".join(lines), encoding="utf-8")
-        with pytest.raises(ReplayMismatch) as exc:
-            replay_transcript(path)
-        # registration events carry no randomness; the login send is the
-        # first event whose bytes depend on the seed
-        assert exc.value.seq == 2
-
-    def test_truncated_transcript_detected(self, tmp_path):
-        path = self._write(tmp_path, config_for("honest", seed=4))
-        lines = path.read_text(encoding="utf-8").strip().split("\n")
-        path.write_text("\n".join(lines[:-1]) + "\n", encoding="utf-8")
-        with pytest.raises(ReplayMismatch) as exc:
-            replay_transcript(path)
-        assert exc.value.seq == len(lines) - 2
-        # an extra well-formed event after the verdict diverges at its own seq
-        extra = {**json.loads(lines[-1]), "seq": len(lines) - 1}
-        path.write_text("\n".join([*lines, json.dumps(extra)]) + "\n", encoding="utf-8")
-        with pytest.raises(ReplayMismatch) as exc:
-            replay_transcript(path)
-        assert exc.value.seq == len(lines) - 1
 
     def test_line_endings_are_compared_byte_for_byte(self, tmp_path):
         golden = GOLDEN.read_bytes()

@@ -1,12 +1,11 @@
 """Value records: the wire messages, card, config and transcript records
-are immutable, the config keeps its defaults, and the scenario run keeps
-its state per instance."""
+are immutable, and the config keeps its defaults."""
 
 import pytest
 
 from cardauthsim.adversary import CardSecrets, RegistrationRecord
 from cardauthsim.blocks import ONES_BLOCK, ZERO_BLOCK, Block
-from cardauthsim.harness import Event, ScenarioConfig, ScenarioError, Transcript, _Run
+from cardauthsim.harness import Event, ScenarioConfig, ScenarioError, Transcript
 from cardauthsim.scheme import DEFAULT_WINDOW, LoginRequest, ServerResponse, UserSession
 
 SALT = Block(bytes(range(32)))
@@ -43,11 +42,3 @@ def test_config_defaults_and_keyword_construction():
 def test_config_replace_runs_the_checks():
     with pytest.raises(ScenarioError, match="seed"):
         ScenarioConfig("honest")._replace(seed=-1)
-
-
-def test_runs_do_not_share_their_events():
-    first, second = _Run(ScenarioConfig("honest")), _Run(ScenarioConfig("honest"))
-    first.now += 1
-    first.record("server", "state-change", {"action": "x"})
-    assert (len(first.events), len(second.events)) == (1, 0)
-    assert (first.now, second.now) == (1, 0)
