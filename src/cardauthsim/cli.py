@@ -79,7 +79,7 @@ def _cmd_demo(args) -> tuple[int, str, str]:
         try:
             Path(args.out).write_text(rendered, encoding="utf-8", newline="\n")
         except (OSError, ValueError) as exc:
-            raise OSError(f"cannot write {args.out}: {exc}") from None
+            raise OSError(f"cannot write {args.out!r}: {exc}") from None
         rendered = ""
     outcome = transcript.outcome()
     summary = (f"scenario {config.scenario} seed={config.seed} window={config.window} "

@@ -18,12 +18,15 @@ kill too. 228 mutants took 13 minutes on a shared 2-vCPU VM with Python 3.11.
 
 Exit status 1, before any run, when a hand row's old text is not found exactly
 once or an EQUIVALENT entry does not match exactly one generated mutant; and
-after the runs when the unmutated copy fails or any mutant survives.
+after the runs when the unmutated copy fails or any mutant survives. SIGTERM
+(`kill`, `timeout`) ends the runner with status 143 as an exception would: the
+running pytest is killed and the temporary copy removed.
 """
 
 import ast
 import re
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -203,6 +206,8 @@ def mutants():
 
 def main():
     sys.stdout.reconfigure(line_buffering=True)  # progress shows as it comes
+    # the default action would end the process at once, leaving the copy behind
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     todo, faults = mutants()
     if faults:
         print(*faults, sep="\n")

@@ -13,10 +13,13 @@ import pytest
 from cardauthsim import adversary, blocks, cli
 from cardauthsim.blocks import BLOCK_LEN, GOLDEN_DIGESTS, ZERO_BLOCK
 from cardauthsim.cli import main
+from cardauthsim.harness import (ReplayMismatch, ScenarioError, TranscriptParseError,
+                                 replay_transcript)
 
 DICT_PATH = str(Path(__file__).parent.parent / "data" / "dictionary.txt")
 SRC = str(Path(__file__).parent.parent / "src")
 GOLDEN = Path(__file__).parent.parent / "golden" / "parallel_session_seed42.jsonl"
+CONFIG = {"dictionary": None, "scenario": "honest", "seed": 0, "window": 5}  # `demo honest`
 
 
 class TestDemo:
@@ -35,7 +38,8 @@ class TestDemo:
     def test_unreadable_dictionary_is_io_error(self, tmp_path, capsys):
         malformed = {"duplicate": b"a\nb\na\n", "blank-line": b"a\n\nb\n",
                      "not-utf8": b"a\n\xff\xfe\n", "crlf": b"a\r\nb\r\n", "cr": b"a\rb\r"}
-        paths = ["/no/such/file", ""]  # an empty path is given, and names no file
+        # "" names no file, "a\0b" and "\ud800" cannot name one, /dev/null is no regular file
+        paths = ["/no/such/file", "", "a\u0000b", "\ud800", "/dev/null"]
         for name, data in malformed.items():
             path = tmp_path / f"{name}.txt"
             path.write_bytes(data)
@@ -54,11 +58,8 @@ class TestDemo:
             assert repr(path) in err, err
             assert err.count("\n") == 1 and err[:-1].isprintable(), err
             # replay re-runs the recorded config, so it meets the same file
-            transcript = tmp_path / "t.jsonl"
-            header = json.dumps({"scenario": "offline-guess", "seed": 0, "window": 5,
-                                 "dictionary": path}, sort_keys=True, separators=(",", ":"))
-            transcript.write_text(header + "\n", encoding="utf-8")
-            code = main(["replay", str(transcript)])
+            header = {**CONFIG, "scenario": "offline-guess", "dictionary": path}
+            code = main(["replay", str(_transcript(tmp_path, header))])
             _, err = capsys.readouterr()
             assert code == 1, path
             assert err.startswith(("error: cannot read dictionary",
@@ -67,27 +68,32 @@ class TestDemo:
             assert err.count("\n") == 1 and err[:-1].isprintable(), err
 
     def test_out_that_cannot_be_written_is_error(self, tmp_path, monkeypatch):
-        # a directory, the empty path (the current directory), and two
-        # strings that cannot name a file at all; a StringIO takes the lone
-        # surrogate that a process's stderr escapes
-        for path in (str(tmp_path), "", "a\u0000b", "\ud800"):
+        # a directory, the empty path (the current directory), two strings that
+        # cannot name a file at all, and one that is shown quoted and escaped
+        for path in (str(tmp_path), "", "a\u0000b", "\ud800",
+                     str(tmp_path / "no\x1b[31mdir\nforged" / "x.jsonl")):
             monkeypatch.setattr(sys, "stdout", io.StringIO())
             monkeypatch.setattr(sys, "stderr", io.StringIO())
             code = main(["demo", "honest", "--out", path])
+            err = sys.stderr.getvalue()
             assert code == 1, path
             assert sys.stdout.getvalue() == "", path
-            assert sys.stderr.getvalue().startswith(f"error: cannot write {path}"), path
+            assert err.startswith(f"error: cannot write {path!r}: "), err
+            assert err.count("\n") == 1 and err[:-1].isprintable(), err
 
-    def test_error_line_survives_a_strict_stderr(self, monkeypatch):
-        # a stderr that encodes strictly cannot take the lone surrogate, so
-        # the line is written again with it escaped, path and all
-        stderr = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors="strict")
+    def test_error_line_survives_a_strict_stderr(self, tmp_path, monkeypatch):
+        # a stderr that encodes strictly cannot take the quoted path's "é", so
+        # the line is written again with it escaped
+        stderr = io.TextIOWrapper(io.BytesIO(), encoding="ascii", errors="strict")
         monkeypatch.setattr(sys, "stderr", stderr)
-        assert main(["demo", "honest", "--out", "\ud800"]) == 1
+        path = str(tmp_path / "missing" / "caf\u00e9")
+        assert main(["demo", "honest", "--out", path]) == 1
         stderr.flush()
-        assert stderr.buffer.getvalue().startswith(b"error: cannot write \\ud800: ")
+        line = stderr.buffer.getvalue()
+        assert line.startswith(f"error: cannot write '{tmp_path}/missing/caf\\xe9': ".encode())
+        assert line.count(b"\n") == 1 and line.endswith(b"\n"), line
         monkeypatch.setattr(sys, "stderr", None)
-        assert main(["demo", "honest", "--out", "\ud800"]) == 1
+        assert main(["demo", "honest", "--out", path]) == 1
 
     def test_human_format_escapes_control_characters(self, tmp_path, capsys):
         # a wordlist entry reaches the transcript as the guessed password, and
@@ -130,24 +136,122 @@ def test_config_refused_alike_by_demo_and_replay(argv, header, error, tmp_path, 
     # header that demo would record for them are refused with one line
     assert main(["demo", *argv]) == 1
     assert capsys.readouterr() == ("", f"error: {error}\n")
-    header = {"seed": 0, "window": 5, "dictionary": None, **header}
-    transcript = tmp_path / "t.jsonl"
-    transcript.write_text(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n",
-                          encoding="utf-8")
+    transcript = _transcript(tmp_path, {**CONFIG, **header})
     assert main(["replay", str(transcript)]) == 1
     assert capsys.readouterr() == ("", f"error: {error}\n")
 
 
-def test_dictionary_that_is_not_a_string_is_refused_by_replay(tmp_path, capsys):
-    # demo passes only strings, so only a header can hold one; unchecked, a list
-    # made os.stat raise TypeError, and 1 or true made it stat file descriptor 1
-    transcript = tmp_path / "t.jsonl"
-    for dictionary in (1, True, ["a"]):
-        header = {"dictionary": dictionary, "scenario": "offline-guess", "seed": 0, "window": 5}
-        transcript.write_text(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n",
-                              encoding="utf-8")
-        assert main(["replay", str(transcript)]) == 1, dictionary
-        assert capsys.readouterr() == ("", "error: dictionary must be a path string or null\n")
+def _line(obj):
+    """`obj` as demo writes a transcript line: sorted keys, no spaces, a newline."""
+    return (json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n").encode()
+
+
+def _transcript(tmp_path, header):
+    """tmp_path/t.jsonl: `header` as the config line demo writes, or as is if bytes."""
+    path = tmp_path / "t.jsonl"
+    path.write_bytes(header if isinstance(header, bytes) else _line(header))
+    return path
+
+
+GOLDEN_LINES = GOLDEN.read_bytes().splitlines(keepends=True)
+GOLDEN_BYTES, HEADER, EVENT1 = b"".join(GOLDEN_LINES), GOLDEN_LINES[0], json.loads(GOLDEN_LINES[2])
+SCENARIO_LIST = ("expected one of ['honest', 'insider-change', 'offline-guess', "
+                 "'outsider-change', 'parallel-session']")
+# (class, error text): the transcripts that replay refuses with it, by id;
+# a transcript is bytes, or a header object written as demo writes it
+ERRORS = {
+    (TranscriptParseError, "bad JSON on line 1: Expecting value"): {
+        "not-json": b"not json\n", "garbage": b"garbage\n"},
+    (TranscriptParseError, "config line is not an object with keys scenario, seed, window, "
+                           "dictionary"): {
+        "number": b"5\n", "null": b"null\n", "string": b'"text"\n',
+        "keys-missing": {"scenario": "honest"}},
+    # with bare CRs the file is one line of several JSON values
+    (TranscriptParseError, "line 1 does not end in a newline"): {
+        "empty": b"", "header-without-newline": _line(CONFIG)[:-1],
+        "cr": GOLDEN_BYTES.replace(b"\n", b"\r")},
+    (TranscriptParseError, "line 17 does not end in a newline"): {
+        "no-final-newline": GOLDEN_BYTES[:-1]},
+    # each decodes to the golden config: spaces, a duplicate key, an escape
+    # that demo never writes, and CRs, which json.loads reads past
+    (TranscriptParseError, f"config line 1 must read exactly {HEADER.decode()[:-1]}"): {
+        "spaces": b'{"dictionary": null, "scenario": "parallel-session", "seed": 42, '
+                  b'"window": 5}\n' + b"".join(GOLDEN_LINES[1:]),
+        "duplicate-key": b'{"seed":1,"scenario":"parallel-session","seed":42,"window":5,'
+                         b'"dictionary":null}\n' + b"".join(GOLDEN_LINES[1:]),
+        "escaped-dash": b'{"dictionary":null,"scenario":"parallel\\u002dsession","seed":42,'
+                        b'"window":5}\n' + b"".join(GOLDEN_LINES[1:]),
+        "crlf": GOLDEN_BYTES.replace(b"\n", b"\r\n")},
+    (ValueError, "line 2: not UTF-8 (invalid start byte)"): {
+        "not-utf8-line-2": HEADER + b"\xff\xfe\n"},
+    (ValueError, "line 4: not UTF-8 (invalid start byte)"): {
+        "not-utf8-line-4": b"".join(GOLDEN_LINES[:3]) + b"\xff\n"},
+    # a config that cannot run; one that demo's arguments can give too is a
+    # row of test_config_refused_alike_by_demo_and_replay
+    (ScenarioError, f"unknown scenario 'nonsense', {SCENARIO_LIST}"): {
+        "unknown-scenario": {**CONFIG, "scenario": "nonsense"}},
+    (ScenarioError, f"unknown scenario ['x'], {SCENARIO_LIST}"): {
+        "scenario-list": {**CONFIG, "scenario": ["x"]}},
+    (ScenarioError, "seed must be a non-negative integer"): {
+        "seed-string": {**CONFIG, "seed": "abc"}, "seed-minus-5": {**CONFIG, "seed": -5}},
+    (ScenarioError, "window must be a positive tick count"): {
+        "window-true": {**CONFIG, "window": True}},
+    # only a header can hold these: unchecked, a list made os.stat raise
+    # TypeError, and 1 or true made it stat fd 1
+    (ScenarioError, "dictionary must be a path string or null"): {
+        "dictionary-5": {**CONFIG, "dictionary": 5},
+        **{f"dictionary-{name}": {**CONFIG, "scenario": "offline-guess", "dictionary": value}
+           for name, value in [("1", 1), ("true", True), ("list", ["a"])]}},
+    # a dictionary-free scenario would record the path and ignore it
+    **{(ScenarioError, f"scenario {scenario!r} takes no dictionary"): {
+        f"{scenario}-dictionary": {**CONFIG, "scenario": scenario, "dictionary": DICT_PATH}}
+       for scenario in ("insider-change", "parallel-session")},
+}
+# seq: the transcripts whose first line to differ from the run's is that
+# event's, by id; a malformed line differs, and so does a line one side lacks
+MISMATCHES = {
+    0: {"event0-number": HEADER + b"7\n",
+        "event0-cr": b"".join([HEADER, GOLDEN_LINES[1][:-1], b"\r\n", *GOLDEN_LINES[2:]])},
+    # event 1 as an object that is not an event, or with one bad field
+    1: {f"event1-{name}": b"".join([*GOLDEN_LINES[:2], _line(obj), *GOLDEN_LINES[3:]])
+        for name, obj in [
+            ("list", []), ("number", 3), ("string", "seq"),
+            ("missing-key", {k: v for k, v in EVENT1.items() if k != "time"}),
+            ("extra-key", {**EVENT1, "extra": 1}),
+            *((f"{field}-{name}", {**EVENT1, field: value}) for field, name, value in [
+                ("seq", "true", True), ("seq", "float", 1.0), ("seq", "0", 0), ("seq", "2", 2),
+                ("time", "string", "x"), ("time", "float", 1.0), ("actor", "number", 7),
+                ("actor", "eve", "eve"), ("actor", "list", []), ("kind", "null", None),
+                ("kind", "object", {}), ("payload", "number", 3), ("payload", "list", []),
+                ("payload", "null", None)])]},
+    15: {"last-line-missing": b"".join(GOLDEN_LINES[:-1])},
+    16: {"extra-blank-line": GOLDEN_BYTES + b"\n"},
+}
+# the 5000-digit row pins only this start: the interpreter's own words
+# follow, and they differ between Python 3.10 and 3.11
+INT_LIMIT = "error: bad JSON on line 1: Exceeds the limit (4300"
+REFUSALS = [  # (id, transcript, exception class, stdout, stderr)
+    *((name, data, cls, "", f"error: {error}\n")
+      for (cls, error), rows in ERRORS.items() for name, data in rows.items()),
+    ("int-5000-digits", b"1" * 5000 + b"\n", TranscriptParseError, "", INT_LIMIT),
+    *((name, data, ReplayMismatch, f"mismatch at seq {seq}\n", "")
+      for seq, rows in MISMATCHES.items() for name, data in rows.items()),
+]
+
+
+@pytest.mark.parametrize("transcript, cls, stdout, stderr", [row[1:] for row in REFUSALS],
+                         ids=[row[0] for row in REFUSALS])
+def test_replay_refusal(transcript, cls, stdout, stderr, tmp_path, capsys):
+    # the command's exact output, and the exact class of replay_transcript's error
+    path = _transcript(tmp_path, transcript)
+    assert main(["replay", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err[:len(INT_LIMIT)] if stderr == INT_LIMIT else err) == (stdout, stderr)
+    with pytest.raises(Exception) as info:
+        replay_transcript(path)
+    assert type(info.value) is cls
+    if cls is ReplayMismatch:
+        assert stdout == f"mismatch at seq {info.value.seq}\n"
 
 
 def _human_fields(line):
@@ -203,41 +307,6 @@ class TestReplayCommand:
         assert capsys.readouterr().err == (
             f"error: {str(GOLDEN)!r} is over the {size - 1}-byte limit for an input file\n")
 
-    def test_garbage_file_is_error(self, tmp_path, capsys):
-        header = ('{"dictionary":null,"scenario":"parallel-session","seed":42,'
-                  '"window":5}\n').encode()
-        golden_events = GOLDEN.read_bytes().split(b"\n", 1)[1]
-        # each decodes to the golden config, but none is the line demo writes
-        non_canonical = [bad_header + b"\n" + golden_events for bad_header in (
-            b'{"dictionary": null, "scenario": "parallel-session", "seed": 42, "window": 5}',
-            b'{"seed":1,"scenario":"parallel-session","seed":42,"window":5,"dictionary":null}',
-            b'{"dictionary":null,"scenario":"parallel\\u002dsession","seed":42,"window":5}')]
-        bad = tmp_path / "bad.jsonl"
-        for data in (b"garbage\n", b"5\n", b"null\n", b'"text"\n',
-                     b'{"dictionary":null,"scenario":["x"],"seed":0,"window":5}\n',
-                     b'{"dictionary":5,"scenario":"honest","seed":0,"window":5}\n',
-                     b'{"dictionary":null,"scenario":"honest","seed":-1,"window":5}\n',
-                     header + b"\xff\xfe\n", *non_canonical, GOLDEN.read_bytes()[:-1]):
-            bad.write_bytes(data)
-            code = main(["replay", str(bad)])
-            _, err = capsys.readouterr()
-            assert code == 1, data
-            assert err.startswith("error: "), data
-        # a malformed event line is a mismatch like a wrong one: an event that
-        # is no object, or one bad field after a valid event 0 of the same run
-        event0 = (b'{"actor":"server","kind":"state-change","payload":{"action":'
-                  b'"account-registered","counter":0,"id":"alice"},"seq":0,"time":0}\n')
-        event1 = {"actor": "card", "kind": "state-change",
-                  "payload": {"action": "card-issued", "id": "alice"}, "seq": 1, "time": 0}
-        bad_events = [(header + event0 + json.dumps({**event1, field: value}).encode() + b"\n", 1)
-                      for field, value in (("seq", True), ("seq", 1.0), ("time", "x"),
-                                           ("actor", 7), ("actor", "eve"), ("kind", None),
-                                           ("payload", 3), ("payload", []))]
-        for data, seq in ((header + b"7\n", 0), *bad_events):
-            bad.write_bytes(data)
-            code = main(["replay", str(bad)])
-            assert (code, *capsys.readouterr()) == (1, f"mismatch at seq {seq}\n", ""), data
-
 
 @pytest.mark.parametrize("data, stdout, detail", [
     (b"hunter2-secret\nx\nhunter2-secret\n", "", "entry 3 repeats entry 1"),
@@ -253,10 +322,8 @@ def test_replay_never_echoes_a_named_file(data, stdout, detail, tmp_path, capsys
     # a malformed one is reported by its path and numbers, a valid one only runs
     named = tmp_path / "named.txt"
     named.write_bytes(data)
-    transcript = tmp_path / "t.jsonl"
-    header = {"dictionary": str(named), "scenario": "offline-guess", "seed": 0, "window": 5}
-    transcript.write_text(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n",
-                          encoding="utf-8")
+    transcript = _transcript(tmp_path, {**CONFIG, "scenario": "offline-guess",
+                                        "dictionary": str(named)})
     assert main(["replay", str(transcript)]) == 1
     out, err = capsys.readouterr()
     assert "hunter2" not in out + err

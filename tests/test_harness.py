@@ -35,13 +35,6 @@ from cardauthsim.scheme import (
 
 DICT_PATH = str(Path(__file__).parent.parent / "data" / "dictionary.txt")
 GOLDEN = Path(__file__).parent.parent / "golden" / "parallel_session_seed42.jsonl"
-# each decodes to the golden config, but none is the line `to_jsonl` writes:
-# spaces, a duplicate key, an escape `_dumps` never writes
-NON_CANONICAL_HEADERS = (
-    '{"dictionary": null, "scenario": "parallel-session", "seed": 42, "window": 5}',
-    '{"seed":1,"scenario":"parallel-session","seed":42,"window":5,"dictionary":null}',
-    '{"dictionary":null,"scenario":"parallel\\u002dsession","seed":42,"window":5}',
-)
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
@@ -136,57 +129,6 @@ class TestDraws:
                                  f"{got}, pinned as {want}")
 
 
-class TestTranscript:
-    def test_from_jsonl_rejects_garbage(self):
-        with pytest.raises(TranscriptParseError):
-            Transcript.from_jsonl("not json\n")
-        with pytest.raises(TranscriptParseError, match="^line 1 does not end in a newline$"):
-            Transcript.from_jsonl("")
-        with pytest.raises(TranscriptParseError):
-            Transcript.from_jsonl('{"scenario":"honest"}\n')
-        header = run_scenario(config_for("honest")).to_jsonl().split("\n")[0]
-        # every line ends in a newline, the last one included
-        with pytest.raises(TranscriptParseError, match="line 1 does not end in a newline"):
-            Transcript.from_jsonl(header)
-        golden_events = GOLDEN.read_text(encoding="utf-8").split("\n", 1)[1]
-        for bad_header in NON_CANONICAL_HEADERS:
-            with pytest.raises(TranscriptParseError, match="line 1"):
-                Transcript.from_jsonl(f"{bad_header}\n{golden_events}")
-        # json refuses integers this long with a plain ValueError
-        with pytest.raises(TranscriptParseError, match="line 1"):
-            Transcript.from_jsonl("1" * 5000 + "\n")
-
-    @staticmethod
-    def _with_event1(edit):
-        """The honest run's text with event 1 replaced by `edit` of its object,
-        written as `to_jsonl` writes a line."""
-        lines = run_scenario(config_for("honest")).to_jsonl().split("\n")
-        lines[2] = harness._dumps(edit(json.loads(lines[2])))
-        return "\n".join(lines)
-
-    # a malformed event line is refused as any line that differs from the run's
-    @pytest.mark.parametrize("edit", [
-        lambda obj: [], lambda obj: 3, lambda obj: "seq",
-        lambda obj: {k: v for k, v in obj.items() if k != "time"},
-        lambda obj: {**obj, "extra": 1},
-    ], ids=["list", "int", "string", "missing-key", "extra-key"])
-    def test_event_line_that_is_not_an_event_object_is_refused(self, edit):
-        with pytest.raises(ReplayMismatch) as info:
-            Transcript.from_jsonl(self._with_event1(edit))
-        assert info.value.seq == 1
-
-    @pytest.mark.parametrize("field, value", [
-        ("seq", True), ("seq", 1.0), ("seq", 0), ("seq", 2), ("time", "x"), ("time", 1.0),
-        ("actor", 7), ("actor", "eve"), ("actor", []), ("kind", None), ("kind", {}),
-        ("payload", 3), ("payload", []), ("payload", None),
-    ])
-    def test_event_line_with_a_bad_field_is_refused(self, field, value):
-        Transcript.from_jsonl(self._with_event1(lambda obj: obj))  # unedited, it verifies
-        with pytest.raises(ReplayMismatch) as info:
-            Transcript.from_jsonl(self._with_event1(lambda obj: {**obj, field: value}))
-        assert info.value.seq == 1
-
-
 class TestScenarios:
     def test_channel_conservation_everywhere(self):
         shapes = set()
@@ -248,36 +190,6 @@ class TestScenarios:
                     assert transcript.outcome() == "attack-succeeded"
                     assert escapes in transcript.events[-2].payload["password"]
 
-    def test_invalid_configs_rejected(self):
-        with pytest.raises(ScenarioError, match="unknown scenario"):
-            run_scenario(ScenarioConfig(scenario="nonsense"))
-        with pytest.raises(ScenarioError, match="window"):
-            run_scenario(ScenarioConfig(scenario="honest", window=0))
-        with pytest.raises(ScenarioError, match="seed"):
-            run_scenario(ScenarioConfig(scenario="honest", seed="abc"))
-        with pytest.raises(ScenarioError, match="window"):
-            run_scenario(ScenarioConfig(scenario="honest", window=True))
-        with pytest.raises(ScenarioError, match="unknown scenario"):
-            run_scenario(ScenarioConfig(scenario=["x"]))
-        with pytest.raises(ScenarioError, match="^dictionary must be a path string or null$"):
-            run_scenario(ScenarioConfig(scenario="honest", dictionary_path=5))
-        with pytest.raises(ScenarioError, match="seed"):
-            run_scenario(ScenarioConfig(scenario="honest", seed=-5))
-        # a dictionary-free scenario would record the path and ignore it
-        for scenario in set(SCENARIOS) - WORDLIST_SCENARIOS:
-            with pytest.raises(ScenarioError, match="takes no dictionary"):
-                ScenarioConfig(scenario=scenario, dictionary_path=DICT_PATH)
-
-    def test_wordlist_scenarios_need_a_dictionary(self):
-        for scenario in WORDLIST_SCENARIOS:
-            with pytest.raises(ScenarioError, match="needs a dictionary"):
-                run_scenario(ScenarioConfig(scenario=scenario))
-            # "a\0b" and "\ud800" cannot name a file; /dev/null is not a
-            # regular file, and a FIFO is a row of test_cli.py::test_child_process
-            for path in ("/nonexistent/words.txt", "a\u0000b", "\ud800", "/dev/null"):
-                with pytest.raises(ScenarioError, match="cannot read dictionary"):
-                    run_scenario(ScenarioConfig(scenario=scenario, dictionary_path=path))
-
 
 class TestNegativeControl:
     """The parallel-session forge works only because the server's reply
@@ -326,28 +238,6 @@ class TestReplay:
         path = tmp_path / "bad.jsonl"
         path.write_bytes(head + b"\xff\n")
         with pytest.raises(ValueError, match="line 4: not UTF-8"):
-            replay_transcript(path)
-
-    def test_line_endings_are_compared_byte_for_byte(self, tmp_path):
-        golden = GOLDEN.read_bytes()
-        path = tmp_path / "copy.jsonl"
-        # json.loads reads past a CR, but the config line is then not canonical
-        path.write_bytes(golden.replace(b"\n", b"\r\n"))
-        with pytest.raises(TranscriptParseError, match="line 1"):
-            replay_transcript(path)
-        # a CR on an event line is a difference in that event's bytes
-        header, event0, rest = golden.split(b"\n", 2)
-        path.write_bytes(b"\n".join([header, event0 + b"\r", rest]))
-        with pytest.raises(ReplayMismatch) as exc:
-            replay_transcript(path)
-        assert exc.value.seq == 0
-        # with bare CRs the file is a single line of several JSON values
-        path.write_bytes(golden.replace(b"\n", b"\r"))
-        with pytest.raises(TranscriptParseError):
-            replay_transcript(path)
-        # the final newline is part of the last event's line
-        path.write_bytes(golden[:-1])
-        with pytest.raises(TranscriptParseError, match="line 17 does not end in a newline"):
             replay_transcript(path)
 
     def test_no_one_byte_deletion_of_the_golden_file_verifies(self, tmp_path):
