@@ -1,4 +1,4 @@
-"""Command-line front end: run scenarios, replay transcripts, print vectors.
+"""Command-line front end: run scenarios and replay transcripts.
 
 Each command, and argparse's help and usage errors, returns its exit
 status, stdout text and stderr text, and `main` alone writes them. Exit
@@ -6,8 +6,8 @@ codes: 0 when the honest scenario accepts or an attack scenario succeeds
 (this tool exists to demonstrate the attacks, so success is the expected
 outcome), 1 on a contrary outcome, a config that cannot run, an I/O
 failure (output that stdout cannot take, no stdout at all, or stderr text
-that cannot be written), a malformed dictionary or transcript, or a vector
-whose digest differs from its pin, 2 on usage errors.
+that cannot be written), or a malformed dictionary or transcript, 2 on
+usage errors.
 """
 
 import argparse
@@ -16,7 +16,6 @@ import io
 import sys
 from pathlib import Path
 
-from .blocks import BLOCK_LEN, GOLDEN_DIGESTS, ONES_BLOCK, ZERO_BLOCK, digest
 from .harness import (
     SCENARIOS,
     ReplayMismatch,
@@ -55,8 +54,6 @@ def build_parser() -> argparse.ArgumentParser:
     replay = sub.add_parser("replay", help="re-run a transcript and verify it matches")
     replay.add_argument("transcript", metavar="FILE")
     replay.set_defaults(run=_cmd_replay)
-
-    sub.add_parser("vectors", help="print the pinned golden digests").set_defaults(run=_cmd_vectors)
     return parser
 
 
@@ -93,16 +90,6 @@ def _cmd_replay(args) -> tuple[int, str, str]:
     except ReplayMismatch as exc:
         return 1, f"mismatch at seq {exc.seq}\n", ""
     return 0, f"verified ({count} events)\n", ""
-
-
-def _cmd_vectors(args) -> tuple[int, str, str]:
-    lines = [f"block-length {BLOCK_LEN}", "hash sha256"]
-    for name, block in (("ones-block", ONES_BLOCK), ("zero-block", ZERO_BLOCK)):
-        computed, pinned = digest(block).hex(), GOLDEN_DIGESTS[name]
-        if computed != pinned:
-            raise ValueError(f"vector {name}: digest {computed}, pinned {pinned}")
-        lines.append(f"{name} {computed}")
-    return 0, "\n".join(lines) + "\n", ""
 
 
 def _run(argv) -> tuple[int, str, str]:
