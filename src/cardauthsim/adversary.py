@@ -69,8 +69,9 @@ def read_text(path: str | Path) -> str:
                 data += file.read(MAX_INPUT_BYTES - info.st_size)
         if len(data) > MAX_INPUT_BYTES:
             raise OSError(f"{str(path)!r} is over the {limit}")
-    except ValueError as exc:  # the OS call refuses a path with a NUL or a lone surrogate
-        raise OSError(f"unusable path {str(path)!r}: {exc}") from None
+    except ValueError:  # the OS call refuses a path with a NUL or a lone surrogate, in
+        # words that vary with the Python version; the quoted path shows which
+        raise OSError(f"unusable path {str(path)!r}") from None
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:

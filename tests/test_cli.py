@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -33,52 +34,6 @@ class TestDemo:
             _, err = capsys.readouterr()
             assert code == 1, argv
             assert err.strip().split("\n")[-1] == "attack-failed", argv
-
-    def test_unreadable_dictionary_is_io_error(self, tmp_path, capsys):
-        malformed = {"duplicate": b"a\nb\na\n", "blank-line": b"a\n\nb\n",
-                     "not-utf8": b"a\n\xff\xfe\n", "crlf": b"a\r\nb\r\n", "cr": b"a\rb\r"}
-        # "" names no file, "a\0b" and "\ud800" cannot name one, /dev/null is no regular file
-        paths = ["/no/such/file", "", "a\u0000b", "\ud800", "/dev/null"]
-        for name, data in malformed.items():
-            path = tmp_path / f"{name}.txt"
-            path.write_bytes(data)
-            paths.append(str(path))
-        # a header may name any path: each is shown quoted and escaped, so
-        # that no control character reaches the terminal as itself
-        forged = tmp_path / "w\x1b[31mred\nforged line"
-        forged.mkdir()
-        (forged / "x\x1b[0m\nblank.txt").write_bytes(b"a\n\nb\n")
-        paths += [str(forged), str(forged / "x\x1b[0m\nblank.txt")]
-        for path in paths:
-            code = main(["demo", "offline-guess", "--dictionary", path])
-            _, err = capsys.readouterr()
-            assert code == 1, path
-            assert err.startswith("error: "), path
-            assert repr(path) in err, err
-            assert err.count("\n") == 1 and err[:-1].isprintable(), err
-            # replay re-runs the recorded config, so it meets the same file
-            header = {**CONFIG, "scenario": "offline-guess", "dictionary": path}
-            code = main(["replay", str(_transcript(tmp_path, header))])
-            _, err = capsys.readouterr()
-            assert code == 1, path
-            assert err.startswith(("error: cannot read dictionary",
-                                   "error: malformed dictionary")), path
-            assert repr(path) in err, err
-            assert err.count("\n") == 1 and err[:-1].isprintable(), err
-
-    def test_out_that_cannot_be_written_is_error(self, tmp_path, monkeypatch):
-        # a directory, the empty path (the current directory), two strings that
-        # cannot name a file at all, and one that is shown quoted and escaped
-        for path in (str(tmp_path), "", "a\u0000b", "\ud800",
-                     str(tmp_path / "no\x1b[31mdir\nforged" / "x.jsonl")):
-            monkeypatch.setattr(sys, "stdout", io.StringIO())
-            monkeypatch.setattr(sys, "stderr", io.StringIO())
-            code = main(["demo", "honest", "--out", path])
-            err = sys.stderr.getvalue()
-            assert code == 1, path
-            assert sys.stdout.getvalue() == "", path
-            assert err.startswith(f"error: cannot write {path!r}: "), err
-            assert err.count("\n") == 1 and err[:-1].isprintable(), err
 
     def test_error_line_survives_a_strict_stderr(self, tmp_path, monkeypatch):
         # a stderr that encodes strictly cannot take the quoted path's "é", so
@@ -266,79 +221,112 @@ def _human_fields(line):
     return fields
 
 
-class TestReplayCommand:
-    def test_missing_file_is_io_error(self, tmp_path, monkeypatch, capsys):
-        # "a\0b" and "\ud800" cannot name a file; /dev/null and a directory are
-        # not regular files, refused before they are opened: a device may never end
-        opened = _record_opens(monkeypatch)
-        for path, error in [
-                ("\ud800", "unusable path '\\ud800': 'utf-8' codec can't encode character "
-                           "'\\ud800' in position 0: surrogates not allowed"),
-                ("/dev/null", "not a regular file: '/dev/null'"),
-                (str(tmp_path), f"not a regular file: '{tmp_path}'")]:
-            assert main(["replay", path]) == 1, path
-            assert capsys.readouterr() == ("", f"error: {error}\n")
-        # the OS and the interpreter word the middle of these two: the NUL reads
-        # "embedded null byte" before Python 3.13, "stat: embedded null
-        # character in path" from it
-        for path, start, end in [
-                ("/no/such/transcript.jsonl", "[Errno 2] ", ": '/no/such/transcript.jsonl'"),
-                ("a\u0000b", "unusable path 'a\\x00b': ", "")]:
-            assert main(["replay", path]) == 1, path
-            out, err = capsys.readouterr()
-            assert (out, err.count("\n")) == ("", 1), err
-            assert err.startswith(f"error: {start}") and err.endswith(f"{end}\n"), err
-        assert opened == []
-
-    def test_file_over_the_size_limit_is_refused_unread(self, monkeypatch, capsys):
-        # the size comes from the stat that read_text takes anyway; a file of
-        # exactly the limit is read
-        opened = _record_opens(monkeypatch)
-        monkeypatch.setattr(os, "stat", _stat_with_size(GOLDEN, adversary.MAX_INPUT_BYTES))
-        assert (main(["replay", str(GOLDEN)]), opened) == (0, [str(GOLDEN)])
-        assert capsys.readouterr() == ("verified (16 events)\n", "")
-        opened.clear()
-        monkeypatch.setattr(os, "stat", _stat_with_size(GOLDEN, adversary.MAX_INPUT_BYTES + 1))
-        code = main(["replay", str(GOLDEN)])
-        _, err = capsys.readouterr()
-        assert (code, opened) == (1, [])
-        assert err == (f"error: {str(GOLDEN)!r} is {adversary.MAX_INPUT_BYTES + 1} bytes, over the "
-                       f"{adversary.MAX_INPUT_BYTES}-byte limit for an input file\n")
-
-    def test_read_stops_at_the_size_limit(self, monkeypatch, capsys):
-        # a regular file may report size 0 and hold far more, as
-        # /proc/self/pagemap does; the read itself is bounded
-        monkeypatch.setattr(os, "stat", _stat_with_size(GOLDEN, 0))
-        size = len(GOLDEN.read_bytes())
-        monkeypatch.setattr(adversary, "MAX_INPUT_BYTES", size)
-        assert main(["replay", str(GOLDEN)]) == 0
-        monkeypatch.setattr(adversary, "MAX_INPUT_BYTES", size - 1)
-        assert main(["replay", str(GOLDEN)]) == 1
-        assert capsys.readouterr().err == (
-            f"error: {str(GOLDEN)!r} is over the {size - 1}-byte limit for an input file\n")
+# a directory name that, printed as itself, would write an escape sequence
+# and a forged second line to the terminal
+FORGED = "w\x1b[31mred\nforged line"
 
 
-@pytest.mark.parametrize("data, stdout, detail", [
-    (b"hunter2-secret\nx\nhunter2-secret\n", "", "entry 3 repeats entry 1"),
-    (b"hunter2-secret" + b"z" * 64 + b"\n", "", "entry 1: password longer than 64 characters"),
-    (b"hunter2-secret\n\nx\n", "", "entry 2: password must not be empty"),
-    (b"hunter2-secret\r\n", "", "line 1: carriage return"),
-    (b"hunter2-secret\n\xff\n", "", "line 2: not UTF-8 (invalid start byte)"),
-    (b"", "", "wordlist must not be empty"),
-    (b"hunter2-secret\nx\n", "mismatch at seq 0\n", ""),
-], ids=["repeat", "overlong", "blank-line", "cr", "not-utf8", "empty", "valid"])
-def test_replay_never_echoes_a_named_file(data, stdout, detail, tmp_path, capsys):
+@pytest.mark.parametrize("name, data, stdout, detail", [
+    ("named.txt", b"hunter2-secret\nx\nhunter2-secret\n", "", "entry 3 repeats entry 1"),
+    ("named.txt", b"hunter2-secret" + b"z" * 64 + b"\n", "",
+     "entry 1: password longer than 64 characters"),
+    ("named.txt", b"hunter2-secret\n\nx\n", "", "entry 2: password must not be empty"),
+    ("named.txt", b"hunter2-secret\r\n", "", "line 1: carriage return"),
+    ("named.txt", b"hunter2-secret\n\xff\n", "", "line 2: not UTF-8 (invalid start byte)"),
+    ("named.txt", b"", "", "wordlist must not be empty"),
+    (f"{FORGED}/x\x1b[0m\nblank.txt", b"hunter2-secret\n\nx\n", "",
+     "entry 2: password must not be empty"),
+    ("named.txt", b"hunter2-secret\nx\n", "mismatch at seq 0\n", ""),
+], ids=["repeat", "overlong", "blank-line", "cr", "not-utf8", "empty", "forged-name", "valid"])
+def test_replay_never_echoes_a_named_file(name, data, stdout, detail, tmp_path, capsys):
     # a transcript is untrusted, and its header names a file that replay reads:
-    # a malformed one is reported by its path and numbers, a valid one only runs
-    named = tmp_path / "named.txt"
+    # a malformed one is reported by its quoted path and numbers, a valid one only runs
+    named = tmp_path / name
+    named.parent.mkdir(exist_ok=True)
     named.write_bytes(data)
     transcript = _transcript(tmp_path, {**CONFIG, "scenario": "offline-guess",
                                         "dictionary": str(named)})
+    error = detail and f"error: malformed dictionary {str(named)!r}: {detail}\n"
     assert main(["replay", str(transcript)]) == 1
     out, err = capsys.readouterr()
     assert "hunter2" not in out + err
-    assert (out, err) == (stdout,
-                          detail and f"error: malformed dictionary {str(named)!r}: {detail}\n")
+    assert (out, err) == (stdout, error)
+    if detail:  # demo refuses the same file as its --dictionary alike; a valid one runs
+        assert main(["demo", "offline-guess", "--dictionary", str(named)]) == 1
+        assert capsys.readouterr() == ("", error)
+
+
+# the entry points that read a path, each with what it puts before the
+# refusal; a header's dictionary is read once its transcript is
+READERS = [(["replay", "{path}"], ""),
+           (["demo", "offline-guess", "--dictionary", "{path}"], "cannot read dictionary: "),
+           (["replay", "{transcript}"], "cannot read dictionary: ")]
+WRITER = [(["demo", "honest", "--out", "{path}"], "")]
+LIMIT = 4096  # test_path_refusal's input limit; {tmp}/big and {tmp}/size-0 are a byte over
+# (id, path, entry points, refusal text, whether the path is opened): an
+# ellipsis stands for the OS's own words, which start and end pin around it
+PATH_REFUSALS = [
+    ("missing", "{tmp}/missing", READERS, "[Errno 2] …: {path!r}", False),
+    ("empty", "", READERS, "[Errno 2] …: ''", False),
+    # these two cannot name a file at all
+    ("nul", "a\x00b", READERS, "unusable path 'a\\x00b'", False),
+    ("surrogate", "\ud800", READERS, "unusable path '\\ud800'", False),
+    # refused before they are opened: a device may never end, a FIFO block
+    ("dev-null", "/dev/null", READERS, "not a regular file: '/dev/null'", False),
+    ("directory", "{tmp}", READERS, "not a regular file: {path!r}", False),
+    ("forged-directory", "{tmp}/" + FORGED, READERS, "not a regular file: {path!r}", False),
+    # the size comes from the stat that read_text takes anyway
+    ("over-the-limit", "{tmp}/big", READERS,
+     f"{{path!r}} is {LIMIT + 1} bytes, over the {LIMIT}-byte limit for an input file", False),
+    # a regular file may report size 0 and hold far more, as /proc/self/pagemap
+    # does; the read itself is bounded
+    ("past-size-0", "{tmp}/size-0", READERS,
+     f"{{path!r}} is over the {LIMIT}-byte limit for an input file", True),
+    # --out writes, through Path.write_text: a directory, the empty path (the
+    # current directory), two strings that cannot name a file, and a missing
+    # directory whose name is shown quoted and escaped
+    ("out-directory", "{tmp}", WRITER, "cannot write {path!r}: [Errno 21] …: {path!r}", False),
+    ("out-empty", "", WRITER, "cannot write '': [Errno 21] …: '.'", False),
+    ("out-nul", "a\x00b", WRITER, "cannot write 'a\\x00b': embedded null byte", False),
+    ("out-surrogate", "\ud800", WRITER, "cannot write '\\ud800': 'utf-8' codec can't encode "
+     "character '\\ud800' in position 0: surrogates not allowed", False),
+    ("out-forged", "{tmp}/no\x1b[31mdir\nforged/x.jsonl", WRITER,
+     "cannot write {path!r}: [Errno 2] …: {path!r}", False),
+]
+
+
+@pytest.mark.parametrize("path, routes, text, opens", [row[1:] for row in PATH_REFUSALS],
+                         ids=[row[0] for row in PATH_REFUSALS])
+def test_path_refusal(path, routes, text, opens, tmp_path, monkeypatch, capsys):
+    # one line on stderr through every entry point, and nothing opened but
+    # the transcript that names the path
+    (tmp_path / FORGED).mkdir()
+    for name in ("big", "size-0"):
+        (tmp_path / name).write_bytes(b"x" * (LIMIT + 1))
+    monkeypatch.setattr(adversary, "MAX_INPUT_BYTES", LIMIT)
+    monkeypatch.setattr(os, "stat", _stat_with_size(tmp_path / "size-0", 0))
+    path = path.format(tmp=tmp_path)
+    transcript = str(_transcript(tmp_path, {**CONFIG, "scenario": "offline-guess",
+                                            "dictionary": path}))
+    opened = _record_opens(monkeypatch)
+    for argv, prefix in routes:
+        argv = [arg.format(path=path, transcript=transcript) for arg in argv]
+        assert main(argv) == 1, argv
+        out, err = capsys.readouterr()
+        error = f"error: {prefix}{text.format(path=path)}\n"
+        assert out == "" and re.fullmatch(".+".join(map(re.escape, error.split("…"))), err), err
+        assert opened == [transcript] * (transcript in argv) + [path] * opens, argv
+        opened.clear()
+
+
+@pytest.mark.parametrize("size", [len(GOLDEN_BYTES), 0], ids=["size", "size-0"])
+def test_file_of_the_limit_is_read(size, monkeypatch, capsys):
+    # the control of test_path_refusal's size rows: the golden file at exactly
+    # the limit, whether its stat reports its size or 0
+    monkeypatch.setattr(adversary, "MAX_INPUT_BYTES", len(GOLDEN_BYTES))
+    monkeypatch.setattr(os, "stat", _stat_with_size(GOLDEN, size))
+    assert main(["replay", str(GOLDEN)]) == 0
+    assert capsys.readouterr() == ("verified (16 events)\n", "")
 
 
 def _record_opens(monkeypatch):
@@ -430,6 +418,9 @@ def _child(argv, stdout, stderr):
     pytest.param(["demo", "offline-guess", "--dictionary", "{tmp}/t.fifo"], PIPE, PIPE,
                  (1, b"", b"error: cannot read dictionary: not a regular file: '{tmp}/t.fifo'\n"),
                  id="dictionary-fifo"),
+    pytest.param(["replay", "{tmp}/fifo.jsonl"], PIPE, PIPE,
+                 (1, b"", b"error: cannot read dictionary: not a regular file: '{tmp}/t.fifo'\n"),
+                 id="header-dictionary-fifo"),
     # a process's stdout is buffered, so a full device fails only at a flush;
     # one left to the interpreter's exit would print a warning and exit 120
     pytest.param(["--help"], FULL, PIPE, (1, None, ENOSPC), id="help-full", marks=needs_full),
@@ -452,7 +443,9 @@ def _child(argv, stdout, stderr):
                  (1, b"mismatch at seq 16\n", b""), id="golden-extra-line"),
 ])
 def test_child_process(argv, stdout, stderr, expected, tmp_path):
-    os.mkfifo(tmp_path / "t.fifo")  # for the two fifo rows
+    os.mkfifo(tmp_path / "t.fifo")  # for the three fifo rows
+    (tmp_path / "fifo.jsonl").write_bytes(_line({**CONFIG, "scenario": "offline-guess",
+                                                 "dictionary": str(tmp_path / "t.fifo")}))
     (tmp_path / "extra.jsonl").write_bytes(GOLDEN.read_bytes() + b"\n")
     status, out, err = expected
     err = err and err.replace(b"{tmp}", bytes(tmp_path))
