@@ -14,7 +14,7 @@ Each mutant is judged by one command, JUDGE, in a temporary copy of src/,
 tests/, data/, golden/ and pyproject.toml, where a conftest.py turns hypothesis
 shrinking off. JUDGE leaves out tests/test_model.py, whose derandomized draws can
 move with a hypothesis release, so no kill rests on the model. A timeout is a
-kill too. 224 mutants took 15 minutes on a shared 2-vCPU VM with Python 3.11.
+kill too. 224 mutants took 16 minutes on a shared 2-vCPU VM with Python 3.11.
 
 Exit status 1, before any run, when a hand row's old text is not found exactly
 once or an EQUIVALENT entry does not match exactly one generated mutant; and

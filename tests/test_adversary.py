@@ -8,20 +8,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cardauthsim import adversary, scheme
-from cardauthsim.adversary import (
-    CardSecrets,
-    RegistrationRecord,
-    Wordlist,
-    insider_change_password,
-    offline_guess,
-)
+from cardauthsim.adversary import CardSecrets, RegistrationRecord, Wordlist, offline_guess
 from cardauthsim.blocks import Block, xor
-from cardauthsim.scheme import (
-    AuthServer,
-    PasswordChangeRejected,
-    enroll,
-    password_digest,
-)
+from cardauthsim.scheme import AuthServer, PasswordChangeRejected, enroll, password_digest
 
 MASTER = Block(bytes(range(32)))
 SALT = Block(bytes(range(32, 64)))
@@ -48,15 +37,6 @@ def _wordlist_without(password, size, rng):
 
 
 class TestWordlist:
-    def test_rejects_duplicates_blanks_and_empty(self):
-        # errors name the 1-based entry, and a duplicate both entries, never the word
-        with pytest.raises(ValueError, match=r"^entry 3 repeats entry 1$"):
-            Wordlist(["a", "b", "a"])
-        with pytest.raises(ValueError, match="entry 2: password must not be empty"):
-            Wordlist(["a", ""])
-        with pytest.raises(ValueError):
-            Wordlist([])
-
     def test_load_file(self, tmp_path):
         path = tmp_path / "words.txt"
         path.write_text("one\ntwo\nthree\n", encoding="utf-8")
@@ -67,14 +47,15 @@ class TestWordlist:
 
     def test_load_names_the_line_of_bad_bytes_or_a_carriage_return(self, tmp_path):
         path = tmp_path / "words.txt"
-        for data, message in ((b"a\n\xff\xfe\n", "line 2: not UTF-8"),
-                              (b"\xffa\n", "line 1: not UTF-8"),
-                              (b"a\nb\nc\xe9\n", "line 3: not UTF-8"),
-                              (b"a\nb\r\nc\n", "line 2: carriage return"),
-                              (b"a\rb\r", "line 1: carriage return")):
+        for data, text in ((b"a\n\xff\xfe\n", "line 2: not UTF-8 (invalid start byte)"),
+                           (b"\xffa\n", "line 1: not UTF-8 (invalid start byte)"),
+                           (b"a\nb\nc\xe9\n", "line 3: not UTF-8 (invalid continuation byte)"),
+                           (b"a\nb\r\nc\n", "line 2: carriage return"),
+                           (b"a\rb\r", "line 1: carriage return")):
             path.write_bytes(data)
-            with pytest.raises(ValueError, match=message):
+            with pytest.raises(ValueError) as info:
                 Wordlist.load(path)
+            assert (type(info.value), str(info.value)) == (ValueError, text)
 
     def test_load_reads_only_a_regular_file(self, tmp_path):
         # "a\0b" and "\ud800" cannot name a file; /dev/null is not a regular
@@ -152,8 +133,3 @@ class TestInsiderChangePassword:
         with pytest.raises(PasswordChangeRejected):
             card.remask(self._record_for(card).verifier, "evil")
         assert card.masked_verifier == before
-
-    def test_unknown_mode_rejected(self):
-        _, card = _setup()
-        with pytest.raises(ValueError):
-            insider_change_password(card, self._record_for(card), "evil", mode="telepathy")

@@ -5,7 +5,7 @@ import pytest
 
 from cardauthsim.adversary import CardSecrets, RegistrationRecord
 from cardauthsim.blocks import ONES_BLOCK, ZERO_BLOCK, Block
-from cardauthsim.harness import Event, ScenarioConfig, ScenarioError, Transcript
+from cardauthsim.harness import Event, ScenarioConfig, Transcript
 from cardauthsim.scheme import DEFAULT_WINDOW, LoginRequest, ServerResponse, UserSession
 
 SALT = Block(bytes(range(32)))
@@ -37,8 +37,3 @@ def test_config_defaults_and_keyword_construction():
     assert (config.scenario, config.seed, config.window, config.dictionary_path) == (
         "parallel-session", 9, 3, None)
     assert ScenarioConfig.from_obj(config.to_obj()) == config
-
-
-def test_config_replace_runs_the_checks():
-    with pytest.raises(ScenarioError, match="seed"):
-        ScenarioConfig("honest")._replace(seed=-1)

@@ -1,29 +1,19 @@
 """Honest-party behaviour beside the reference model of test_model.py: the
-frozen known-answer chain, login verification, mutual authentication and
-the wire forms.
+frozen known-answer chain and the wire forms.
+
+What the parties refuse is pinned by one of three refusal tables, each row
+by its exact class and whole text: test_refusals.py::test_library_refusal
+holds the values passed to the API (a login, a reply, a message to put on
+the wire), test_cli.py::test_replay_refusal the transcripts and
+test_cli.py::test_path_refusal the paths.
 
 The known-answer chain below was computed with hashlib and a local XOR
 helper (never the package's own operations) before the implementation
 existed, then frozen.
 """
 
-import pytest
-
 from cardauthsim.blocks import Block
-from cardauthsim.scheme import (
-    AuthServer,
-    BadAuthenticator,
-    LoginRequest,
-    ServerResponse,
-    StaleTimestamp,
-    UnknownIdentity,
-    UserSession,
-    enroll,
-    message_to_wire,
-    password_digest,
-    proof,
-    verify_mutual_auth,
-)
+from cardauthsim.scheme import AuthServer, enroll, message_to_wire, password_digest, proof
 
 MASTER = Block(bytes(range(32)))
 SALT = Block(bytes(range(32, 64)))
@@ -65,60 +55,6 @@ class TestKnownAnswers:
         assert proof(card.verifier, 11) == response.authenticator
 
 
-class TestVerifyLogin:
-    def test_timestamp_outside_clock_range_is_stale(self):
-        server, _ = _fresh_setup()
-        with pytest.raises(StaleTimestamp):
-            server.verify_login(LoginRequest(IDENT, Block(bytes(32)), -1), 3, window=10)
-
-    def test_server_clock_outside_its_range_is_refused_first(self):
-        # before the account lookup and any proof work, for any request
-        server, card = _fresh_setup()
-        for received_at in (-1, 2**64):
-            for request in (card.login(IDENT, PASSWORD, 0)[0],
-                            LoginRequest("mallory", Block(bytes(32)), 0)):
-                with pytest.raises(ValueError) as info:
-                    server.verify_login(request, received_at, window=2**65)
-                assert str(info.value) == f"server clock {received_at} is outside [0, 2**64)"
-
-    def test_unknown_identity_rejected(self):
-        server, card = _fresh_setup()
-        request, _ = card.login("mallory", PASSWORD, 10)
-        with pytest.raises(UnknownIdentity):
-            server.verify_login(request, 11)
-
-    def test_old_card_rejected_after_reregistration(self):
-        server = AuthServer(MASTER)
-        old_card = enroll(server, IDENT, PASSWORD, SALT)
-        enroll(server, IDENT, PASSWORD, SALT)
-        request, _ = old_card.login(IDENT, PASSWORD, 10)
-        with pytest.raises(BadAuthenticator):
-            server.verify_login(request, 11)
-
-
-class TestMutualAuth:
-    def test_response_predating_login_is_stale(self):
-        server, card = _fresh_setup()
-        request, session = card.login(IDENT, PASSWORD, 10)
-        response = server.verify_login(request, 11)
-        backdated = ServerResponse(response.authenticator, 9)
-        with pytest.raises(StaleTimestamp):
-            verify_mutual_auth(session, backdated)
-
-    def test_response_outside_clock_range_is_stale(self):
-        session = UserSession(Block(bytes(32)), 2**64 - 1)
-        with pytest.raises(StaleTimestamp):
-            verify_mutual_auth(session, ServerResponse(Block(bytes(32)), 2**64))
-
-    def test_response_outside_window_is_stale(self):
-        server, card = _fresh_setup()
-        request, session = card.login(IDENT, PASSWORD, 10)
-        response = server.verify_login(request, 11)
-        late = ServerResponse(response.authenticator, 10 + 5 + 1)
-        with pytest.raises(StaleTimestamp):
-            verify_mutual_auth(session, late, window=5)
-
-
 class TestWireFormat:
     def test_login_request_wire_form(self):
         _, card = _fresh_setup()
@@ -132,7 +68,3 @@ class TestWireFormat:
         response = server.verify_login(request, 11)
         assert message_to_wire(response) == {"type": "response",
                                              "c3": response.authenticator.hex(), "t": 11}
-
-    def test_unknown_type_rejected(self):
-        with pytest.raises(TypeError):
-            message_to_wire("not a message")
