@@ -12,18 +12,9 @@ from cardauthsim.adversary import CardSecrets, RegistrationRecord, Wordlist, off
 from cardauthsim.blocks import Block, xor
 from cardauthsim.scheme import AuthServer, PasswordChangeRejected, enroll, password_digest
 
-MASTER = Block(bytes(range(32)))
-SALT = Block(bytes(range(32, 64)))
-IDENT = "alice"
-PASSWORD = "correct-horse"
+from parties import IDENT, PASSWORD, enrolled
 
 blocks = st.binary(min_size=32, max_size=32).map(Block)
-
-
-def _setup(password=PASSWORD):
-    server = AuthServer(MASTER)
-    card = enroll(server, IDENT, password, SALT)
-    return server, card
 
 
 def _wordlist_without(password, size, rng):
@@ -102,7 +93,7 @@ class TestOfflineGuess:
     def test_each_probe_makes_three_hashes_and_three_xors(self, monkeypatch):
         # the attack's floor per candidate: 3 hashes (encode the password,
         # hash it salted, hash the proof) and 3 XORs (salt, unmask, stamp)
-        _, card = _setup()
+        _, card = enrolled()
         request, _ = card.login(IDENT, PASSWORD, 10)
         wl = _wordlist_without(PASSWORD, 50, random.Random(7))
         calls = {"hash": 0, "xor": 0}
@@ -128,7 +119,7 @@ class TestInsiderChangePassword:
                                   card.verifier, card.masked_verifier)
 
     def test_keying_in_the_verifier_is_rejected(self):
-        _, card = _setup()
+        _, card = enrolled()
         before = card.masked_verifier
         with pytest.raises(PasswordChangeRejected):
             card.remask(self._record_for(card).verifier, "evil")

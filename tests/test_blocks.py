@@ -38,6 +38,7 @@ def _sha(data: bytes) -> bytes:
 
 
 class TestBlock:
+    # pins `bytes(data)`, so that a block from a bytearray is immutable: no operator edits a return
     def test_returns_exact_bytes_equal_to_input(self):
         raw = bytes(range(32))
         for data in (raw, bytearray(raw)):

@@ -5,7 +5,6 @@ import hashlib
 import json
 import random
 from collections import Counter
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +20,6 @@ from cardauthsim.harness import (
     ScenarioError,
     Transcript,
     TranscriptParseError,
-    replay_transcript,
     run_scenario,
 )
 from cardauthsim.scheme import (
@@ -33,8 +31,7 @@ from cardauthsim.scheme import (
     verify_mutual_auth,
 )
 
-DICT_PATH = str(Path(__file__).parent.parent / "data" / "dictionary.txt")
-GOLDEN = Path(__file__).parent.parent / "golden" / "parallel_session_seed42.jsonl"
+from parties import DICT_PATH, GOLDEN
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
@@ -47,35 +44,6 @@ def config_for(scenario, **kwargs):
     if scenario in WORDLIST_SCENARIOS:
         kwargs.setdefault("dictionary_path", DICT_PATH)
     return ScenarioConfig(scenario=scenario, **kwargs)
-
-
-def assert_channel_conserved(transcript):
-    """Every sent message makes one whole trip and ends exactly once.
-
-    A trip is consecutive events that all carry the send's payload: the
-    send, an optional intercept by the intruder, then a delivery one tick
-    after the send or a drop by the intruder. Sends, intercepts and drops
-    share the send's tick, and msg_ids run 1, 2, ... in send order.
-    Returns the trips, each a list of events.
-    """
-    trips = []
-    for event in transcript.events:
-        if event.kind == "send":
-            trips.append([event])
-        elif event.kind in ("intercept", "deliver", "drop"):
-            assert trips, f"{event.kind} at seq {event.seq} before any send"
-            trips[-1].append(event)
-    for msg_id, trip in enumerate(trips, 1):
-        assert len(trip) > 1, f"message {msg_id} is neither delivered nor dropped"
-        send, *taps, end = trip
-        assert [e.seq for e in trip] == list(range(send.seq, send.seq + len(trip)))
-        assert send.payload["msg_id"] == msg_id
-        assert all(e.payload == send.payload for e in trip)
-        assert [(e.actor, e.kind, e.time) for e in taps] in (
-            [], [("intruder", "intercept", send.time)])
-        assert (end.kind, end.time) == ("deliver", send.time + 1) or (
-            (end.actor, end.kind, end.time) == ("intruder", "drop", send.time))
-    return trips
 
 
 class RecordingRandom(random.Random):
@@ -130,19 +98,6 @@ class TestDraws:
 
 
 class TestScenarios:
-    def test_channel_conservation_everywhere(self):
-        shapes = set()
-        for scenario in SCENARIOS:
-            for seed in (0, 42):
-                # window 1 makes the forged login stale, so no reply is sent
-                for window in (1, 2, 5, 9):
-                    transcript = run_scenario(config_for(scenario, seed=seed, window=window))
-                    shapes.update(tuple(e.kind for e in trip)
-                                  for trip in assert_channel_conserved(transcript))
-        # every trip shape the scenarios use was checked
-        assert shapes == {("send", "deliver"), ("send", "intercept", "deliver"),
-                               ("send", "drop")}
-
     def test_parallel_session_respects_small_windows(self):
         # the canned relay lands two ticks after the observed reply
         ok = run_scenario(config_for("parallel-session", seed=3, window=2))
@@ -210,6 +165,7 @@ class TestNegativeControl:
         verify_mutual_auth(UserSession(digest(session.secret), session.sent_at),
                            response, window)
 
+    # a design control, not a check of src: it swaps the reply out, so no mutant reaches it
     def test_domain_separated_reply_defeats_only_the_parallel_session(self, monkeypatch):
         monkeypatch.setattr(harness, "AuthServer", self.DomainSeparatedServer)
         monkeypatch.setattr(harness, "verify_mutual_auth", self.check_domain_separated_reply)
@@ -226,46 +182,6 @@ class TestNegativeControl:
 
 
 class TestReplay:
-    def test_every_scenario_replays(self, tmp_path):
-        for scenario in SCENARIOS:
-            path = tmp_path / f"{scenario}.jsonl"
-            path.write_text(run_scenario(config_for(scenario, seed=8)).to_jsonl(),
-                            encoding="utf-8")
-            replay_transcript(path)
-
-    def test_bytes_that_are_not_utf8_name_their_line(self, tmp_path):
-        head = b"".join(GOLDEN.read_bytes().splitlines(keepends=True)[:3])
-        path = tmp_path / "bad.jsonl"
-        path.write_bytes(head + b"\xff\n")
-        with pytest.raises(ValueError, match="line 4: not UTF-8"):
-            replay_transcript(path)
-
-    def test_no_one_byte_deletion_of_the_golden_file_verifies(self, tmp_path):
-        golden = GOLDEN.read_bytes()
-        path = tmp_path / "cut.jsonl"
-        for at in range(len(golden)):
-            path.write_bytes(golden[:at] + golden[at + 1:])
-            with pytest.raises((ReplayMismatch, TranscriptParseError, ScenarioError)):
-                replay_transcript(path)
-
-    def test_no_one_byte_insertion_of_a_newline_in_the_golden_file_verifies(self, tmp_path):
-        golden = GOLDEN.read_bytes()
-        path = tmp_path / "split.jsonl"
-        for at in range(len(golden) + 1):
-            path.write_bytes(golden[:at] + b"\n" + golden[at:])
-            with pytest.raises((ReplayMismatch, TranscriptParseError, ScenarioError)):
-                replay_transcript(path)
-
-    @pytest.mark.parametrize("edit, seq", [
-        (lambda lines: lines + [""], 16),
-        (lambda lines: lines[:-1], 15),
-    ], ids=["extra-blank-line", "last-line-missing"])
-    def test_a_line_out_of_place_is_a_mismatch_at_its_seq(self, edit, seq):
-        lines = GOLDEN.read_text(encoding="utf-8").split("\n")[:-1]
-        with pytest.raises(ReplayMismatch) as exc:
-            Transcript.from_jsonl("\n".join(edit(lines)) + "\n")
-        assert exc.value.seq == seq
-
     @settings(max_examples=100, deadline=None)
     @given(header=json_values | st.fixed_dictionaries(
                {"scenario": st.sampled_from(sorted(SCENARIOS)) | json_values,

@@ -14,14 +14,12 @@ from cardauthsim.blocks import (ZERO_BLOCK, Block, digest, encode_identity, enco
                                 encode_registered_identity, encode_timestamp, validate_identity,
                                 validate_password, xor)
 from cardauthsim.harness import ScenarioConfig, ScenarioError
-from cardauthsim.scheme import (AuthServer, BadAuthenticator, LoginRequest, ServerResponse,
-                                StaleTimestamp, UnknownIdentity, UserSession, enroll,
-                                message_to_wire, password_digest, verify_mutual_auth)
+from cardauthsim.scheme import (BadAuthenticator, LoginRequest, ServerResponse, StaleTimestamp,
+                                UnknownIdentity, UserSession, enroll, message_to_wire,
+                                password_digest, verify_mutual_auth)
 
-MASTER = Block(bytes(range(32)))
-SALT = Block(bytes(range(32, 64)))
-IDENT = "alice"
-PASSWORD = "correct-horse"
+from parties import IDENT, PASSWORD, SALT, enrolled
+
 SHORT = {"short": b"short", "31": bytes(31), "33": bytes(33)}
 Parties = namedtuple("Parties", "server card request session response")
 
@@ -29,8 +27,7 @@ Parties = namedtuple("Parties", "server card request session response")
 def _parties(reenrol=False):
     """A server with IDENT enrolled and its card's login at 10, answered at 11;
     with `reenrol`, IDENT then enrols again, so that card is out of date."""
-    server = AuthServer(MASTER)
-    card = enroll(server, IDENT, PASSWORD, SALT)
+    server, card = enrolled()
     request, session = card.login(IDENT, PASSWORD, 10)
     response = server.verify_login(request, 11)
     if reenrol:

@@ -12,16 +12,12 @@ helper (never the package's own operations) before the implementation
 existed, then frozen.
 """
 
-from cardauthsim.blocks import Block
-from cardauthsim.scheme import AuthServer, enroll, message_to_wire, password_digest, proof
+from cardauthsim.scheme import message_to_wire, password_digest, proof
 
-MASTER = Block(bytes(range(32)))
-SALT = Block(bytes(range(32, 64)))
-IDENT = "alice"
-PASSWORD = "correct-horse"
+from parties import IDENT, PASSWORD, SALT, enrolled
 
-# Frozen oracle values for the chain above with counter 0, login tick 10,
-# server tick 11.
+# Frozen oracle values for the chain of parties.py with counter 0, login tick
+# 10, server tick 11.
 KAT = {
     "password_digest": "42697b93517140264af1cb39d64297bdcf127e7a4a231c55adf61f0d457b8332",
     "verifier": "733cc4b7b02432878056a59b8d69ad6fcdf6352ce87dd415e0897578b8cb76f7",
@@ -31,17 +27,11 @@ KAT = {
 }
 
 
-def _fresh_setup(password=PASSWORD):
-    server = AuthServer(MASTER)
-    card = enroll(server, IDENT, password, SALT)
-    return server, card
-
-
 class TestKnownAnswers:
     """End-to-end chain against the frozen oracle values."""
 
     def test_full_chain_matches_frozen_oracle(self):
-        server, card = _fresh_setup()
+        server, card = enrolled()
         request, session = card.login(IDENT, PASSWORD, 10)
         response = server.verify_login(request, 11)
 
@@ -57,13 +47,13 @@ class TestKnownAnswers:
 
 class TestWireFormat:
     def test_login_request_wire_form(self):
-        _, card = _fresh_setup()
+        _, card = enrolled()
         request, _ = card.login(IDENT, PASSWORD, 10)
         assert message_to_wire(request) == {"type": "login", "id": IDENT,
                                             "c2": request.authenticator.hex(), "t": 10}
 
     def test_response_wire_form(self):
-        server, card = _fresh_setup()
+        server, card = enrolled()
         request, _ = card.login(IDENT, PASSWORD, 10)
         response = server.verify_login(request, 11)
         assert message_to_wire(response) == {"type": "response",
