@@ -14,7 +14,6 @@ import argparse
 import contextlib
 import io
 import sys
-from pathlib import Path
 
 from .harness import (
     SCENARIOS,
@@ -46,8 +45,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help=f"freshness window in ticks (default {DEFAULT_WINDOW})")
     demo.add_argument("--dictionary", metavar="PATH",
                       help="password wordlist, required by the guessing scenarios")
-    demo.add_argument("--out", metavar="PATH",
-                      help="write the transcript here instead of stdout")
     demo.add_argument("--format", choices=("human", "json"), default="json",
                       help="transcript rendering (default json, replayable)")
 
@@ -72,12 +69,6 @@ def _cmd_demo(args) -> tuple[int, str, str]:
                             window=args.window, dictionary_path=args.dictionary)
     transcript = run_scenario(config)
     rendered = transcript.to_jsonl() if args.format == "json" else _render_human(transcript)
-    if args.out is not None:
-        try:
-            Path(args.out).write_text(rendered, encoding="utf-8", newline="\n")
-        except (OSError, ValueError) as exc:
-            raise OSError(f"cannot write {args.out!r}: {exc}") from None
-        rendered = ""
     outcome = transcript.outcome()
     summary = (f"scenario {config.scenario} seed={config.seed} window={config.window} "
                f"events={len(transcript.events)}\n{outcome}\n")

@@ -12,13 +12,16 @@ can move with a hypothesis release. A traced control run (TRACER) maps each line
 of src to the tests that execute it, in process or in a child process. A mutant
 runs the tests that execute one of its lines, and those that reach no traced
 line: a test that never reaches a mutated line runs as in the control, so it
-cannot fail. The whole of JUDGE runs instead when a mutated line runs outside
-any test (at import or collection), or when a selected run exits 4 or 5 because
-a mutant broke the collection of a selected test. No run stops at a failure, so
-each mutant is printed with every killer, and the last lines list the tests
-whose every kill keeps three other killers; a collection error kills but is no
-test's kill, and a timeout kills too. Mutants are judged in os.cpu_count()
-threads, each in a copy of its own: 224 took 3 minutes on a shared 2-vCPU VM.
+should not fail. The whole of JUDGE runs instead when a mutated line runs outside
+any test (at import or collection), when a selected run exits 4 or 5 because a
+mutant broke the collection of a selected test, and when a selected run exits 0:
+hypothesis draws from the literals of every module it sees, so a mutant can move
+the draws of a test that never reaches it, and a mutant is a survivor only when
+the whole of JUDGE passes too. No run stops at a failure, so each mutant is
+printed with every killer, and the last lines list the tests whose every kill
+keeps three other killers; a collection error kills but is no test's kill, and a
+timeout kills too. Mutants are judged in os.cpu_count() threads, each in a copy
+of its own: 220 took 3 minutes on a shared 2-vCPU VM.
 
 Exit status 1, before any run, when a hand row's old text is not found exactly
 once or an EQUIVALENT entry does not match exactly one generated mutant; and
@@ -331,7 +334,8 @@ def main():
                 if "" not in tests:  # else a mutated line runs outside any test's own calls
                     chosen = [test for test in ids if test in tests | always]
                     run = pytest(copied, *chosen, **cache)
-                    if run is None or run[1] not in (4, 5):  # 4, 5: a chosen id not collected
+                    # 0: a survivor, judged again by all; 4, 5: a chosen id not collected
+                    if run is None or run[1] not in (0, 4, 5):
                         return len(chosen), killers(run)
                 return "all", killers(pytest(copied, **cache))
 

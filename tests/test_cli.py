@@ -1,4 +1,4 @@
-"""Command-line behaviour: exit codes, output streams, file round trips."""
+"""Command-line behaviour: exit codes, output streams, refused inputs."""
 
 import contextlib
 import io
@@ -40,14 +40,15 @@ class TestDemo:
         # the line is written again with it escaped
         stderr = io.TextIOWrapper(io.BytesIO(), encoding="ascii", errors="strict")
         monkeypatch.setattr(sys, "stderr", stderr)
-        path = str(tmp_path / "missing" / "caf\u00e9")
-        assert main(["demo", "honest", "--out", path]) == 1
+        path = str(tmp_path / "caf\u00e9")
+        assert main(["replay", path]) == 1
         stderr.flush()
         line = stderr.buffer.getvalue()
-        assert line.startswith(f"error: cannot write '{tmp_path}/missing/caf\\xe9': ".encode())
-        assert line.count(b"\n") == 1 and line.endswith(b"\n"), line
+        assert line.startswith(b"error: [Errno 2] "), line
+        assert line.endswith(f": '{tmp_path}/caf\\xe9'\n".encode()), line
+        assert line.count(b"\n") == 1, line
         monkeypatch.setattr(sys, "stderr", None)
-        assert main(["demo", "honest", "--out", path]) == 1
+        assert main(["replay", path]) == 1
 
     def test_human_format_escapes_control_characters(self, tmp_path, capsys):
         # a wordlist entry reaches the transcript as the guessed password, and
@@ -261,43 +262,32 @@ def test_replay_never_echoes_a_named_file(name, data, stdout, detail, tmp_path, 
 READERS = [(["replay", "{path}"], ""),
            (["demo", "offline-guess", "--dictionary", "{path}"], "cannot read dictionary: "),
            (["replay", "{transcript}"], "cannot read dictionary: ")]
-WRITER = [(["demo", "honest", "--out", "{path}"], "")]
 LIMIT = 4096  # test_path_refusal's input limit; {tmp}/big and {tmp}/size-0 are a byte over
-# (id, path, entry points, refusal text, whether the path is opened): an
-# ellipsis stands for the OS's own words, which start and end pin around it
+# (id, path, refusal text, whether the path is opened): an ellipsis
+# stands for the OS's own words, which start and end pin around it
 PATH_REFUSALS = [
-    ("missing", "{tmp}/missing", READERS, "[Errno 2] …: {path!r}", False),
-    ("empty", "", READERS, "[Errno 2] …: ''", False),
+    ("missing", "{tmp}/missing", "[Errno 2] …: {path!r}", False),
+    ("empty", "", "[Errno 2] …: ''", False),
     # these two cannot name a file at all
-    ("nul", "a\x00b", READERS, "unusable path 'a\\x00b'", False),
-    ("surrogate", "\ud800", READERS, "unusable path '\\ud800'", False),
+    ("nul", "a\x00b", "unusable path 'a\\x00b'", False),
+    ("surrogate", "\ud800", "unusable path '\\ud800'", False),
     # refused before they are opened: a device may never end, a FIFO block
-    ("dev-null", "/dev/null", READERS, "not a regular file: '/dev/null'", False),
-    ("directory", "{tmp}", READERS, "not a regular file: {path!r}", False),
-    ("forged-directory", "{tmp}/" + FORGED, READERS, "not a regular file: {path!r}", False),
+    ("dev-null", "/dev/null", "not a regular file: '/dev/null'", False),
+    ("directory", "{tmp}", "not a regular file: {path!r}", False),
+    ("forged-directory", "{tmp}/" + FORGED, "not a regular file: {path!r}", False),
     # the size comes from the stat that read_text takes anyway
-    ("over-the-limit", "{tmp}/big", READERS,
+    ("over-the-limit", "{tmp}/big",
      f"{{path!r}} is {LIMIT + 1} bytes, over the {LIMIT}-byte limit for an input file", False),
     # a regular file may report size 0 and hold far more, as /proc/self/pagemap
     # does; the read itself is bounded
-    ("past-size-0", "{tmp}/size-0", READERS,
+    ("past-size-0", "{tmp}/size-0",
      f"{{path!r}} is over the {LIMIT}-byte limit for an input file", True),
-    # --out writes, through Path.write_text: a directory, the empty path (the
-    # current directory), two strings that cannot name a file, and a missing
-    # directory whose name is shown quoted and escaped
-    ("out-directory", "{tmp}", WRITER, "cannot write {path!r}: [Errno 21] …: {path!r}", False),
-    ("out-empty", "", WRITER, "cannot write '': [Errno 21] …: '.'", False),
-    ("out-nul", "a\x00b", WRITER, "cannot write 'a\\x00b': embedded null byte", False),
-    ("out-surrogate", "\ud800", WRITER, "cannot write '\\ud800': 'utf-8' codec can't encode "
-     "character '\\ud800' in position 0: surrogates not allowed", False),
-    ("out-forged", "{tmp}/no\x1b[31mdir\nforged/x.jsonl", WRITER,
-     "cannot write {path!r}: [Errno 2] …: {path!r}", False),
 ]
 
 
-@pytest.mark.parametrize("path, routes, text, opens", [row[1:] for row in PATH_REFUSALS],
+@pytest.mark.parametrize("path, text, opens", [row[1:] for row in PATH_REFUSALS],
                          ids=[row[0] for row in PATH_REFUSALS])
-def test_path_refusal(path, routes, text, opens, tmp_path, monkeypatch, capsys):
+def test_path_refusal(path, text, opens, tmp_path, monkeypatch, capsys):
     # one line on stderr through every entry point, and nothing opened but
     # the transcript that names the path
     (tmp_path / FORGED).mkdir()
@@ -309,7 +299,7 @@ def test_path_refusal(path, routes, text, opens, tmp_path, monkeypatch, capsys):
     transcript = str(_transcript(tmp_path, {**CONFIG, "scenario": "offline-guess",
                                             "dictionary": path}))
     opened = _record_opens(monkeypatch)
-    for argv, prefix in routes:
+    for argv, prefix in READERS:
         argv = [arg.format(path=path, transcript=transcript) for arg in argv]
         assert main(argv) == 1, argv
         out, err = capsys.readouterr()
@@ -356,12 +346,10 @@ class FullStdout(io.StringIO):
         raise OSError(28, "No space left on device")
 
 
-@pytest.mark.parametrize("argv", [["replay", str(GOLDEN)]],
-                         ids=lambda argv: argv[0])
-def test_command_with_nothing_for_stderr_never_writes_it(argv, monkeypatch, capsys):
+def test_command_with_nothing_for_stderr_never_writes_it(monkeypatch, capsys):
     # so a stderr that cannot be written fails only what has something to say
     monkeypatch.setattr(sys, "stderr", FullStdout())
-    assert main(argv) == 0
+    assert main(["replay", str(GOLDEN)]) == 0
 
 
 class FullDevice(io.RawIOBase):
@@ -372,11 +360,11 @@ class FullDevice(io.RawIOBase):
         raise OSError(28, "No space left on device")
 
 
-def test_stderr_that_fails_only_when_flushed_is_status_one(tmp_path, monkeypatch):
+def test_stderr_that_fails_only_when_flushed_is_status_one(monkeypatch, capsys):
     # a stderr that is not line-buffered holds the text until main flushes it
     stderr = io.TextIOWrapper(FullDevice(), encoding="utf-8", line_buffering=False)
     monkeypatch.setattr(sys, "stderr", stderr)
-    assert main(["demo", "honest", "--out", str(tmp_path / "t.jsonl")]) == 1
+    assert main(["demo", "honest"]) == 1
 
 
 # what the installed `cardauthsim` console script runs
@@ -418,13 +406,10 @@ def _child(argv, stdout, stderr):
     pytest.param(["demo", "honest"], NULL, FULL, (1, None, None),
                  id="demo-stderr-full", marks=needs_full),
     # with fd 1 closed, sys.stdout is None: output that has nowhere to go is
-    # an error, and --out needs no stdout
+    # an error
     *(pytest.param(argv, CLOSED, PIPE, (1, None, b"error: no standard output\n"),
                    id=f"{argv[0]}-closed")
       for argv in (["demo", "honest"], ["replay", str(GOLDEN)])),
-    pytest.param(["demo", "honest", "--out", "{tmp}/t.jsonl"], CLOSED, PIPE,
-                 (0, None, b"scenario honest seed=0 window=5 events=9\naccepted\n"),
-                 id="demo-out-closed"),
     pytest.param(["demo", "parallel-session", "--seed", "42"], PIPE, PIPE,
                  (0, GOLDEN.read_bytes(),
                   b"scenario parallel-session seed=42 window=5 events=16\nattack-succeeded\n"),
@@ -441,8 +426,6 @@ def test_child_process(argv, stdout, stderr, expected, tmp_path):
     status, out, err = expected
     err = err and err.replace(b"{tmp}", bytes(tmp_path))
     assert _child([arg.format(tmp=tmp_path) for arg in argv], stdout, stderr) == (status, out, err)
-    if "--out" in argv:  # what demo wrote in place of stdout replays
-        assert main(["replay", str(tmp_path / "t.jsonl")]) == 0
 
 
 def test_fifo_swapped_in_after_the_stat_is_refused(tmp_path):
@@ -465,13 +448,16 @@ def test_fifo_swapped_in_after_the_stat_is_refused(tmp_path):
 class TestUsage:
     # pins the subparsers' `required=True`: no operator edits a keyword argument
     def test_no_arguments_is_usage_error(self, capsys):
-        # an unknown command, `vectors` among them, is argparse's usage error
+        # an unknown command or option, as `vectors` or `demo --out`, is
+        # argparse's usage error
         usage = "usage: cardauthsim [-h] {demo,replay} ..."
-        for argv in ([], ["vectors"]):
+        for argv, error in (([], "the following arguments are required: command"),
+                            (["vectors"], "invalid choice: 'vectors'"),
+                            (["demo", "honest", "--out", "x"], "unrecognized arguments: --out x")):
             assert main(argv) == 2, argv
             out, err = capsys.readouterr()
             assert (out, err.split("\n")[0]) == ("", usage), argv
-        assert "invalid choice: 'vectors'" in err
+            assert error in err, argv
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
