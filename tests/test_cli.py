@@ -4,7 +4,6 @@ import contextlib
 import io
 import json
 import os
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -43,10 +42,8 @@ class TestDemo:
         path = str(tmp_path / "caf\u00e9")
         assert main(["replay", path]) == 1
         stderr.flush()
-        line = stderr.buffer.getvalue()
-        assert line.startswith(b"error: [Errno 2] "), line
-        assert line.endswith(f": '{tmp_path}/caf\\xe9'\n".encode()), line
-        assert line.count(b"\n") == 1, line
+        assert stderr.buffer.getvalue() == (
+            f"error: [Errno 2] No such file or directory: '{tmp_path}/caf\\xe9'\n".encode())
         monkeypatch.setattr(sys, "stderr", None)
         assert main(["replay", path]) == 1
 
@@ -117,6 +114,10 @@ SCENARIO_LIST = ("expected one of ['honest', 'insider-change', 'offline-guess', 
 ERRORS = {
     (TranscriptParseError, "bad JSON on line 1: Expecting value"): {
         "not-json": b"not json\n", "garbage": b"garbage\n"},
+    (TranscriptParseError, "bad JSON on line 1: Exceeds the limit (4300 digits) for integer "
+                           "string conversion: value has 5000 digits; use "
+                           "sys.set_int_max_str_digits() to increase the limit"): {
+        "int-5000-digits": b"1" * 5000 + b"\n"},
     (TranscriptParseError, "config line is not an object with keys scenario, seed, window, "
                            "dictionary"): {
         "number": b"5\n", "null": b"null\n", "string": b'"text"\n',
@@ -182,13 +183,9 @@ MISMATCHES = {
     15: {"last-line-missing": b"".join(GOLDEN_LINES[:-1])},
     16: {"extra-blank-line": GOLDEN_BYTES + b"\n"},
 }
-# the 5000-digit row pins only this start: the interpreter's own words
-# follow, and they differ between Python 3.10 and 3.11
-INT_LIMIT = "error: bad JSON on line 1: Exceeds the limit (4300"
 REFUSALS = [  # (id, transcript, exception class, stdout, stderr)
     *((name, data, cls, "", f"error: {error}\n")
       for (cls, error), rows in ERRORS.items() for name, data in rows.items()),
-    ("int-5000-digits", b"1" * 5000 + b"\n", TranscriptParseError, "", INT_LIMIT),
     *((name, data, ReplayMismatch, f"mismatch at seq {seq}\n", "")
       for seq, rows in MISMATCHES.items() for name, data in rows.items()),
 ]
@@ -201,7 +198,7 @@ def test_replay_refusal(transcript, cls, stdout, stderr, tmp_path, capsys):
     path = _transcript(tmp_path, transcript)
     assert main(["replay", str(path)]) == 1
     out, err = capsys.readouterr()
-    assert (out, err[:len(INT_LIMIT)] if stderr == INT_LIMIT else err) == (stdout, stderr)
+    assert (out, err) == (stdout, stderr)
     with pytest.raises(Exception) as info:
         replay_transcript(path)
     assert type(info.value) is cls
@@ -263,11 +260,10 @@ READERS = [(["replay", "{path}"], ""),
            (["demo", "offline-guess", "--dictionary", "{path}"], "cannot read dictionary: "),
            (["replay", "{transcript}"], "cannot read dictionary: ")]
 LIMIT = 4096  # test_path_refusal's input limit; {tmp}/big and {tmp}/size-0 are a byte over
-# (id, path, refusal text, whether the path is opened): an ellipsis
-# stands for the OS's own words, which start and end pin around it
+# (id, path, refusal text, whether the path is opened)
 PATH_REFUSALS = [
-    ("missing", "{tmp}/missing", "[Errno 2] …: {path!r}", False),
-    ("empty", "", "[Errno 2] …: ''", False),
+    ("missing", "{tmp}/missing", "[Errno 2] No such file or directory: {path!r}", False),
+    ("empty", "", "[Errno 2] No such file or directory: ''", False),
     # these two cannot name a file at all
     ("nul", "a\x00b", "unusable path 'a\\x00b'", False),
     ("surrogate", "\ud800", "unusable path '\\ud800'", False),
@@ -304,7 +300,7 @@ def test_path_refusal(path, text, opens, tmp_path, monkeypatch, capsys):
         assert main(argv) == 1, argv
         out, err = capsys.readouterr()
         error = f"error: {prefix}{text.format(path=path)}\n"
-        assert out == "" and re.fullmatch(".+".join(map(re.escape, error.split("…"))), err), err
+        assert (out, err) == ("", error), argv
         assert opened == [transcript] * (transcript in argv) + [path] * opens, argv
         opened.clear()
 

@@ -44,7 +44,7 @@ ERRORS = {  # (class, whole text): {row id: the call refused}
         **{f"xor-left-{name}": lambda bad=bad: xor(bad, ZERO_BLOCK) for name, bad in SHORT.items()},
         **{f"xor-right-{name}": lambda bad=bad: xor(ZERO_BLOCK, bad)
            for name, bad in SHORT.items()}},
-    # the interpreter's own words, the same on Python 3.10 to 3.13
+    # the interpreter's own words, the same on Python 3.11 to 3.13
     (TypeError, "Strings must be encoded before hashing"): {"digest-str": lambda: digest("x" * 32)},
     (TypeError, "cannot convert 'str' object to bytes"): {
         "xor-left-str": lambda: xor("x" * 32, ZERO_BLOCK),
