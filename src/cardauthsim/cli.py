@@ -92,7 +92,7 @@ def _run(argv) -> tuple[int, str, str]:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             args = parser.parse_args(argv)
     except SystemExit as exc:
-        return (exc.code if isinstance(exc.code, int) else 2), out.getvalue(), err.getvalue()
+        return exc.code, out.getvalue(), err.getvalue()
     return args.run(args)
 
 
@@ -128,7 +128,3 @@ def main(argv=None) -> int:
             _drop(sys.stderr)
             return 1
     return status
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -42,7 +42,9 @@ class TestWordlist:
                            (b"\xffa\n", "line 1: not UTF-8 (invalid start byte)"),
                            (b"a\nb\nc\xe9\n", "line 3: not UTF-8 (invalid continuation byte)"),
                            (b"a\nb\r\nc\n", "line 2: carriage return"),
-                           (b"a\rb\r", "line 1: carriage return")):
+                           (b"a\rb\r", "line 1: carriage return"),
+                           (b"\n\xff\n", "line 2: not UTF-8 (invalid start byte)"),
+                           (b"\na\r\n", "line 2: carriage return")):
             path.write_bytes(data)
             with pytest.raises(ValueError) as info:
                 Wordlist.load(path)

@@ -34,6 +34,11 @@ class TestDemo:
             assert code == 1, argv
             assert err.strip().split("\n")[-1] == "attack-failed", argv
 
+    def test_defaults_are_the_config_header(self, capsys):
+        # pins demo's defaults, seed 0 among them, which no operator edits
+        assert main(["demo", "honest"]) == 0
+        assert capsys.readouterr().out.startswith(_line(CONFIG).decode())
+
     def test_error_line_survives_a_strict_stderr(self, tmp_path, monkeypatch):
         # a stderr that encodes strictly cannot take the quoted path's "é", so
         # the line is written again with it escaped
@@ -442,17 +447,22 @@ def test_fifo_swapped_in_after_the_stat_is_refused(tmp_path):
 
 
 class TestUsage:
-    # pins the subparsers' `required=True`: no operator edits a keyword argument
+    # pins the subparsers' `required=True` and demo's `choices`: no operator edits
+    # a keyword argument
     def test_no_arguments_is_usage_error(self, capsys):
-        # an unknown command or option, as `vectors` or `demo --out`, is
-        # argparse's usage error
+        # an unknown command, option, scenario or format, as `vectors`,
+        # `demo --out` or `demo nonsense`, is argparse's usage error
         usage = "usage: cardauthsim [-h] {demo,replay} ..."
-        for argv, error in (([], "the following arguments are required: command"),
-                            (["vectors"], "invalid choice: 'vectors'"),
-                            (["demo", "honest", "--out", "x"], "unrecognized arguments: --out x")):
+        demo = "usage: cardauthsim demo [-h] [--seed SEED] [--window WINDOW]"
+        for argv, first, error in (
+                ([], usage, "the following arguments are required: command"),
+                (["vectors"], usage, "invalid choice: 'vectors'"),
+                (["demo", "honest", "--out", "x"], usage, "unrecognized arguments: --out x"),
+                (["demo", "honest", "--format", "xml"], demo, "invalid choice: 'xml'"),
+                (["demo", "nonsense"], demo, "invalid choice: 'nonsense'")):
             assert main(argv) == 2, argv
             out, err = capsys.readouterr()
-            assert (out, err.split("\n")[0]) == ("", usage), argv
+            assert (out, err.split("\n")[0]) == ("", first), argv
             assert error in err, argv
 
     def test_help_exits_zero(self, capsys):

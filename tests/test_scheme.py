@@ -1,5 +1,5 @@
 """Honest-party behaviour beside the reference model of test_model.py: the
-frozen known-answer chain and the wire forms.
+frozen known-answer chain, the wire forms and the first tick of the clock.
 
 What the parties refuse is pinned by one of three refusal tables, each row
 by its exact class and whole text: test_refusals.py::test_library_refusal
@@ -58,3 +58,11 @@ class TestWireFormat:
         response = server.verify_login(request, 11)
         assert message_to_wire(response) == {"type": "response",
                                              "c3": response.authenticator.hex(), "t": 11}
+
+
+def test_tick_zero_is_a_valid_clock():
+    # a login stamped at tick 0 and received at server tick 0 is fresh: pins the
+    # lower clock edges of _fresh and verify_login, which no operator moves
+    server, card = enrolled()
+    response = server.verify_login(card.login(IDENT, PASSWORD, 0)[0], 0)
+    assert response.timestamp == 0
