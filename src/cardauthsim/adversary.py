@@ -16,7 +16,7 @@ import stat
 from pathlib import Path
 from typing import Iterable, NamedTuple, Optional
 
-from .blocks import digest, encode_timestamp, validate_password, xor
+from .blocks import MAX_TEXT_LEN, digest, encode_timestamp, validate_password, xor
 from .scheme import (
     LoginRequest,
     ServerResponse,
@@ -108,6 +108,11 @@ class Wordlist(tuple):
         self = super().__new__(cls, words)
         if not self:
             raise ValueError("wordlist must not be empty")
+        try:  # builtins pass a good list whole; only a refusal walks the entries
+            if all(self) and max(map(len, self)) <= MAX_TEXT_LEN and len(set(self)) == len(self):
+                return self
+        except TypeError:  # an entry with no length or no hash: the walk names it
+            pass
         seen: dict[str, int] = {}
         for number, word in enumerate(self, 1):
             try:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from cardauthsim import adversary, scheme
 from cardauthsim.adversary import CardSecrets, RegistrationRecord, Wordlist, offline_guess
-from cardauthsim.blocks import Block, xor
+from cardauthsim.blocks import Block, validate_password, xor
 from cardauthsim.scheme import AuthServer, PasswordChangeRejected, enroll, password_digest
 
 from parties import IDENT, PASSWORD, enrolled
@@ -27,7 +27,43 @@ def _wordlist_without(password, size, rng):
     return Wordlist(sorted(words))
 
 
+def _reference_wordlist(words):
+    """The per-entry walk that checked every wordlist before the whole-list check."""
+    words = tuple(words)
+    if not words:
+        raise ValueError("wordlist must not be empty")
+    seen = {}
+    for number, word in enumerate(words, 1):
+        try:
+            validate_password(word)
+        except ValueError as exc:
+            raise ValueError(f"entry {number}: {exc}") from None
+        if word in seen:
+            raise ValueError(f"entry {number} repeats entry {seen[word]}")
+        seen[word] = number
+    return words
+
+
+def _outcome(build, words):
+    try:
+        return "accepted", tuple(build(words))
+    except (TypeError, ValueError) as exc:  # the class and the text are the outcome
+        return type(exc), str(exc)
+
+
+# words blank, longest, overlong or repeated, and entries of other types: with no
+# length (0, 5, None, True), with no hash ([], [1]) or with both (b"", b"x")
+entries = st.one_of(st.sampled_from(["", "a" * 64, "a" * 65, "b" * 65, "x", "y"]),
+                    st.text(max_size=3),
+                    st.sampled_from([0, 5, b"", b"x", [], [1], None, True]))
+
+
 class TestWordlist:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(entries, max_size=8))
+    def test_refuses_as_the_per_entry_walk_does(self, words):
+        assert _outcome(Wordlist, words) == _outcome(_reference_wordlist, words)
+
     def test_load_file(self, tmp_path):
         path = tmp_path / "words.txt"
         path.write_text("one\ntwo\nthree\n", encoding="utf-8")

@@ -1,6 +1,7 @@
 """The one table of values that the library refuses: each row is one call of
 blocks, scheme, adversary or the scenario config, pinned by the exact class
-it raises and the whole text. The command line's refusals are test_cli.py's
+it raises and the whole text; beside it, the `reason` that each protocol
+rejection records. The command line's refusals are test_cli.py's
 two tables, test_replay_refusal for transcripts and test_path_refusal for
 paths."""
 
@@ -14,7 +15,8 @@ from cardauthsim.blocks import (ZERO_BLOCK, Block, digest, encode_identity, enco
                                 encode_registered_identity, encode_timestamp, validate_identity,
                                 validate_password, xor)
 from cardauthsim.harness import ScenarioConfig, ScenarioError
-from cardauthsim.scheme import (BadAuthenticator, LoginRequest, ServerResponse, StaleTimestamp,
+from cardauthsim.scheme import (BadAuthenticator, LoginRequest, PasswordChangeRejected,
+                                ProtocolRejection, ServerResponse, StaleTimestamp,
                                 UnknownIdentity, UserSession, enroll, message_to_wire,
                                 password_digest, verify_mutual_auth)
 
@@ -110,8 +112,13 @@ ERRORS = {  # (class, whole text): {row id: the call refused}
     (ValueError, "entry 3 repeats entry 1"): {"wordlist-repeat": lambda: Wordlist(["a", "b", "a"])},
     (ValueError, "entry 2: password must not be empty"): {
         "wordlist-blank": lambda: Wordlist(["a", ""])},
+    # the first bad entry is named: the two *-before-* rows hold one repeat and one
+    # overlong word, in opposite orders
     (ValueError, "entry 1: password longer than 64 characters"): {
-        "wordlist-65": lambda: Wordlist(["a" * 65])},
+        "wordlist-65": lambda: Wordlist(["a" * 65]),
+        "wordlist-65-before-repeat": lambda: Wordlist(["a" * 65, "b", "b"])},
+    (ValueError, "entry 2 repeats entry 1"): {
+        "wordlist-repeat-before-65": lambda: Wordlist(["b", "b", "a" * 65])},
     (ValueError, "wordlist must not be empty"): {"wordlist-empty": lambda: Wordlist([])},
     (ValueError, "unknown insider entry mode: 'telepathy'"): {
         "insider-mode": lambda: insider_change_password(
@@ -132,3 +139,12 @@ def test_library_refusal(call, cls, text):
     with pytest.raises(Exception) as info:
         call()
     assert (type(info.value), str(info.value)) == (cls, text)
+
+
+def test_each_protocol_rejection_names_its_check():
+    # a transcript records `reason`, and no scenario's transcript holds
+    # unknown-identity or wrong-old-password
+    assert {cls: cls.reason for cls in (ProtocolRejection, *ProtocolRejection.__subclasses__())} == {
+        ProtocolRejection: "rejected", UnknownIdentity: "unknown-identity",
+        StaleTimestamp: "stale-timestamp", BadAuthenticator: "bad-authenticator",
+        PasswordChangeRejected: "wrong-old-password"}
