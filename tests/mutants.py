@@ -1,9 +1,8 @@
 """Mutation runner: the suite must fail under every mutant of `src`.
 
-Run `python tests/mutants.py`; it takes no options. The mutants are the 7 hand
-rows of HAND and those that generate() makes by seven operators, listed in its
-docstring, with stdlib `ast` over every module of src. A generated mutant that
-gives the module of a hand row runs once, under the row's number; one on
+Run `python tests/mutants.py`; it takes no options. The mutants are the 4 hand
+rows of HAND and those that generate() makes by ten operators, listed in its
+docstring, with stdlib `ast` over every module of src. A generated mutant on
 EQUIVALENT, which no test can tell from the program, is not run.
 
 Every run is JUDGE in a temporary copy of the tree, with hypothesis shrinking
@@ -19,14 +18,16 @@ hypothesis draws from the literals of every module it sees, so a mutant can move
 the draws of a test that never reaches it, and a mutant is a survivor only when
 the whole of JUDGE passes too. No run stops at a failure, so each mutant is
 printed with every killer; a collection error or a timeout kills too. Mutants
-are judged in os.cpu_count() threads, each in a copy of its own: 256 took
-3.9 to 4.8 minutes on a shared 2-vCPU VM with Python 3.11.7.
+are judged in os.cpu_count() threads, each in a copy of its own: 333, 10 of
+them equivalent, took 6 min 10 s on a shared 2-vCPU VM with Python 3.11.7.
 
 Exit status 1, before any run, when a hand row's old text is not found exactly
-once or an EQUIVALENT entry does not match exactly one generated mutant; and
-after the runs when the control fails or any mutant survives. SIGTERM ends the
-runner with status 143 as an exception would: every pytest under way is killed
-with its children, and every copy removed.
+once, a hand row gives the module of a generated mutant (the operator makes it,
+so the row is retired), a mutant does not compile (a run would count it killed
+by its collection error), or an EQUIVALENT entry does not match exactly one
+generated mutant; and after the runs when the control fails or any mutant
+survives. SIGTERM ends the runner with status 143 as an exception would: every
+pytest under way is killed with its children, and every copy removed.
 """
 
 import ast
@@ -94,19 +95,14 @@ sys.settrace(call)
 SCHEME = "src/cardauthsim/scheme.py"
 ADVERSARY, HARNESS = "src/cardauthsim/adversary.py", "src/cardauthsim/harness.py"
 WINDOW = "        if not _fresh(request.timestamp, received_at - window, received_at):"
-REPLY = "    if not _fresh(response.timestamp, session.sent_at, session.sent_at + window):"
 PAIRS = 'zip_longest(text[:-1].split("\\n")[1:], fresh[:-1].split("\\n")[1:])'
 VERDICT = "changed and not victim_ok and attacker_ok"
+HONEST = '"accepted" if accepted else "rejected"'
 CHECK = "all(self) and max(map(len, self)) <= MAX_TEXT_LEN and len(set(self)) == len(self)"
 
 # number, what it breaks, file, old text, new text: edits that no operator makes;
-# a missing number lost its target or gave the module of a generated mutant
+# a missing number lost its target or is made, or subsumed, by an operator
 HAND = [
-    (4, "verify_login window from tick 0", SCHEME, WINDOW,
-     WINDOW.replace("received_at - window", "0")),
-    (5, "mutual-auth window one tick wider", SCHEME, REPLY, REPLY.replace("window", "window + 1")),
-    (7, "re-registration keeps the counter", SCHEME,
-     "            self.accounts[identity] += 1", "            self.accounts[identity] += 0"),
     (13, "the domain-separated reply of TestNegativeControl", SCHEME,
      "        return ServerResponse(proof(verifier, received_at), received_at)",
      "        return ServerResponse(proof(digest(verifier), received_at), received_at)"),
@@ -127,11 +123,18 @@ EQUIVALENT = {
         "a second read of a file that held no more than its size returns nothing",
     (ADVERSARY, "read_text", "> to >=", "len(data) > info.st_size"):
         "a file of exactly its size leaves nothing for the second read",
+    (ADVERSARY, "read_text", "arithmetic + 1", "info.st_size + 1"):
+        "a file within the limit is still read whole, and one past it still refused",
+    (ADVERSARY, "read_text", "arithmetic + 1", "MAX_INPUT_BYTES - info.st_size"):
+        "a second read bounded one byte later still reads past the limit",
     # hijack's verdict keeps all three: it states the scenario's success rule
     (HARNESS, "_Run.hijack", "and without operand 1", VERDICT):
         "a refused change leaves the victim's login accepted",
     (HARNESS, "_Run.hijack", "and without operand 3", VERDICT):
         "an accepted change always lets the attacker's password in, at any window of at least 1",
+    # the honest scenario's verdict keeps its branch: it states the outcome rule
+    (HARNESS, "_scenario_honest", "if-expression to its body", HONEST):
+        "an honest login is accepted at any window of at least 1",
     # the whole-list check only spares a good list the walk, which would accept it
     (ADVERSARY, "Wordlist.__new__", "condition to False", CHECK):
         "every list is walked, and the walk accepts what the check would have",
@@ -154,12 +157,14 @@ class Mutant(NamedTuple):
 
 
 def generate(path: str) -> list[Mutant]:
-    """Every mutant of the module at `path` by seven operators: an `if`, `elif` or
+    """Every mutant of the module at `path` by ten operators: an `if`, `elif` or
     `while` condition set to `False` and to `True`; a one-line `raise` set to
     `pass`; a bare `flush`, `close` or `os.close` call set to `pass`; a comparison
     of one operator flipped as FLIPS says; `and` swapped with `or`; each operand
-    of an `and` or `or` dropped in turn; and each end of a chained comparison
-    dropped, `a <= b < c` to `b < c` and to `a <= b`."""
+    of an `and` or `or` dropped in turn; each end of a chained comparison
+    dropped, `a <= b < c` to `b < c` and to `a <= b`; an `int` literal `0` set to
+    `1` and `1` to `0`; ` + 1` and ` - 1` appended to each `+` or `-` operation;
+    and `a if c else b` set to `a` and to `b`."""
     source = (ROOT / path).read_bytes()  # ast offsets count UTF-8 bytes
     starts = list(accumulate(map(len, source.splitlines(keepends=True)), initial=0))
 
@@ -223,6 +228,19 @@ def generate(path: str) -> list[Mutant]:
                 for n in range(len(child.values)):
                     yield mutant(function, f"{old} without operand {n + 1}", child,
                                  drop(child.values, n))
+            elif (isinstance(child, ast.Constant) and type(child.value) is int
+                  and child.value in (0, 1)):
+                yield mutant(function, f"{child.value} to {1 - child.value}", child,
+                             (begin(child), end(child), str(1 - child.value)))
+            elif isinstance(child, ast.BinOp) and isinstance(child.op, (ast.Add, ast.Sub)):
+                for sign in "+-":  # the span leaves out parentheses, so the term stays in them
+                    yield mutant(function, f"arithmetic {sign} 1", child,
+                                 (end(child), end(child), f" {sign} 1"))
+            elif isinstance(child, ast.IfExp):
+                for part, branch in (("body", child.body), ("else", child.orelse)):
+                    kept = source[begin(branch):end(branch)].decode()
+                    yield mutant(function, f"if-expression to its {part}", child,
+                                 (begin(child), end(child), kept))
             yield from walk(child, function)
 
     return list(walk(ast.parse(source), "<module>"))
@@ -276,25 +294,33 @@ def killers(run):
 
 
 def mutants():
-    """The hand rows, then each generated mutant that differs from all before
-    it, and the preflight faults: stale hand rows and EQUIVALENT entries."""
-    faults, found = [], {}
+    """The hand rows, then the generated mutants, and the preflight faults: a
+    stale hand row or EQUIVALENT entry, a hand row that gives the module of a
+    generated mutant, and a mutant that does not compile, which a run would
+    count as killed by its collection error."""
+    faults, hand = [], []
     for number, what, path, old, new in HAND:
         text = (ROOT / path).read_text(encoding="utf-8")
         if text.count(old) != 1:
             faults.append(f"({number}) old text found {text.count(old)} times in {path}")
         first = text.count("\n", 0, text.find(old)) + 1
-        found[path, text.replace(old, new)] = Mutant(
-            f"({number})", what, path, None, text.replace(old, new),
-            range(first, first + old.count("\n") + 1))
+        hand.append(Mutant(f"({number})", what, path, None, text.replace(old, new),
+                           range(first, first + old.count("\n") + 1)))
     generated = [mutant for path in sorted((ROOT / "src").rglob("*.py"))
                  for mutant in generate(path.relative_to(ROOT).as_posix())]
     for key in EQUIVALENT:
         if (count := sum(mutant.key == key for mutant in generated)) != 1:
             faults.append(f"equivalent {key} matches {count} generated mutants")
-    for mutant in generated:
-        found.setdefault((mutant.path, mutant.text), mutant)
-    return list(found.values()), faults
+    modules = {(mutant.path, mutant.text): mutant for mutant in generated}
+    for row in hand:
+        if twin := modules.get((row.path, row.text)):
+            faults.append(f"{row.name} {row.what} gives the module of {twin.name} {twin.what}")
+    for mutant in hand + generated:
+        try:
+            compile(mutant.text, mutant.path, "exec")
+        except SyntaxError as exc:
+            faults.append(f"{mutant.name} {mutant.what} does not compile: {exc}")
+    return hand + generated, faults
 
 
 def copy(work):
