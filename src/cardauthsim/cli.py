@@ -1,4 +1,5 @@
-"""Command-line front end: run scenarios and replay transcripts.
+"""Command-line front end: argv, the demo and replay commands, and the
+standard streams; `harness` writes every byte of a transcript.
 
 Each command, and argparse's help and usage errors, returns its exit
 status, stdout text and stderr text, and `main` alone writes them. Exit
@@ -19,8 +20,6 @@ from .harness import (
     SCENARIOS,
     ReplayMismatch,
     ScenarioConfig,
-    Transcript,
-    _dumps,
     replay_transcript,
     run_scenario,
 )
@@ -54,21 +53,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _render_human(transcript: Transcript) -> str:
-    # each payload value is the transcript's canonical JSON: quoted, escaped, ASCII
-    lines = []
-    for event in transcript.events:
-        detail = ", ".join(f"{k}={_dumps(v)}" for k, v in sorted(event.payload.items()))
-        lines.append(f"{event.seq:3d}  t={event.time:<3d} {event.actor:<8s} "
-                     f"{event.kind:<12s} {detail}")
-    return "\n".join(lines) + "\n"
-
-
 def _cmd_demo(args) -> tuple[int, str, str]:
     config = ScenarioConfig(scenario=args.scenario, seed=args.seed,
                             window=args.window, dictionary_path=args.dictionary)
     transcript = run_scenario(config)
-    rendered = transcript.to_jsonl() if args.format == "json" else _render_human(transcript)
+    rendered = transcript.to_jsonl() if args.format == "json" else transcript.to_human()
     outcome = transcript.outcome()
     summary = (f"scenario {config.scenario} seed={config.seed} window={config.window} "
                f"events={len(transcript.events)}\n{outcome}\n")

@@ -4,7 +4,9 @@ One scenario is a scripted timeline over a logical clock: honest parties
 exchange wire messages, one whole trip each, over a wire the intruder can
 tap, and every send, delivery, interception, drop, verdict and state change
 lands in an ordered transcript. The transcript is a pure function of the
-scenario config, so runs can be diffed byte for byte and replayed.
+scenario config, so runs can be diffed byte for byte and replayed. This
+module alone writes a transcript: each message's wire form, the JSON lines
+that replay reads and the human rendering.
 
 Scenarios: an honest login round trip plus the four attacks from
 `adversary`. The fixed timeline (registration at tick 0, login at tick
@@ -38,7 +40,6 @@ from .scheme import (
     ServerResponse,
     SmartCard,
     enroll,
-    message_to_wire,
     password_digest,
     verify_mutual_auth,
 )
@@ -153,6 +154,15 @@ class Transcript(NamedTuple):
                          f'"seq":{seq},"time":{time}}}')
         return "\n".join(lines) + "\n"
 
+    def to_human(self) -> str:
+        # one line per event, each payload value canonical JSON: quoted, escaped, ASCII
+        lines = []
+        for event in self.events:
+            detail = ", ".join(f"{k}={_dumps(v)}" for k, v in sorted(event.payload.items()))
+            lines.append(f"{event.seq:3d}  t={event.time:<3d} {event.actor:<8s} "
+                         f"{event.kind:<12s} {detail}")
+        return "\n".join(lines) + "\n"
+
     @classmethod
     def from_jsonl(cls, text: str) -> "Transcript":
         """The transcript that `text` records, verified by re-running its config:
@@ -187,6 +197,16 @@ class Transcript(NamedTuple):
 def _random_password(rng: random.Random) -> str:
     return "".join(_PASSWORD_ALPHABET[b % len(_PASSWORD_ALPHABET)]
                    for b in rng.randbytes(_PASSWORD_LEN))
+
+
+def message_to_wire(message: LoginRequest | ServerResponse) -> dict:
+    """Serialise a wire message to its JSON object form."""
+    if isinstance(message, LoginRequest):
+        return {"type": "login", "id": message.identity,
+                "c2": message.authenticator.hex(), "t": message.timestamp}
+    if isinstance(message, ServerResponse):
+        return {"type": "response", "c3": message.authenticator.hex(), "t": message.timestamp}
+    raise TypeError(f"not a wire message: {message!r}")
 
 
 class _Run:

@@ -12,7 +12,8 @@ The card alone performs password changes by re-masking the verifier.
 
 The card cannot tell a wrong password at login, only the server can; the
 password-change phase does check it locally, and that asymmetry is what
-the attacks in `adversary` exploit.
+the attacks in `adversary` exploit. This module is the protocol alone: how
+a message is written down is `harness`'s.
 """
 
 import hmac
@@ -202,13 +203,3 @@ def enroll(server: AuthServer, identity: str, password: str, salt: bytes) -> Sma
     """Run the whole registration phase and hand back the issued card."""
     verifier, masked = server.register(identity, password_digest(password, salt))
     return SmartCard(verifier, masked, salt)
-
-
-def message_to_wire(message: LoginRequest | ServerResponse) -> dict:
-    """Serialise a wire message to its JSON object form."""
-    if isinstance(message, LoginRequest):
-        return {"type": "login", "id": message.identity,
-                "c2": message.authenticator.hex(), "t": message.timestamp}
-    if isinstance(message, ServerResponse):
-        return {"type": "response", "c3": message.authenticator.hex(), "t": message.timestamp}
-    raise TypeError(f"not a wire message: {message!r}")

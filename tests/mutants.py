@@ -3,7 +3,11 @@
 Run `python tests/mutants.py`; it takes no options. The mutants are the 4 hand
 rows of HAND and those that generate() makes by ten operators, listed in its
 docstring, with stdlib `ast` over every module of src. A generated mutant on
-EQUIVALENT, which no test can tell from the program, is not run.
+EQUIVALENT, which no test can tell from the program, is not run. A generated
+mutant is keyed and logged by its file, function, operator and source text;
+where mutants of one function share all four, each source text becomes its
+line with the mutated span in brackets, and where those lines are shared too,
+that line numbered "(1)", "(2)".
 
 Every run is JUDGE in a temporary copy of the tree, with hypothesis shrinking
 and its database off, and without tests/test_model.py, whose derandomized draws
@@ -19,7 +23,7 @@ the draws of a test that never reaches it, and a mutant is a survivor only when
 the whole of JUDGE passes too. No run stops at a failure, so each mutant is
 printed with every killer; a collection error or a timeout kills too. Mutants
 are judged in os.cpu_count() threads, each in a copy of its own: 333, 10 of
-them equivalent, took 6 min 10 s on a shared 2-vCPU VM with Python 3.11.7.
+them equivalent, took 6 min 3 s on a shared 2-vCPU VM with Python 3.11.7.
 
 Exit status 1, before any run, when a hand row's old text is not found exactly
 once, a hand row gives the module of a generated mutant (the operator makes it,
@@ -40,6 +44,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack, suppress
 from itertools import accumulate
@@ -115,7 +120,8 @@ HAND = [
 ]
 
 # generated mutants that behave as the program does wherever a test can reach,
-# keyed by file, enclosing function, operator and the mutated source text
+# keyed by file, enclosing function, operator and the mutated source text, as
+# generate() tells it
 EQUIVALENT = {
     (HARNESS, "Transcript.to_jsonl", "condition to True", "body is None"):
         "encoding a shared payload again gives the text the cache holds",
@@ -185,14 +191,28 @@ def generate(path: str) -> list[Mutant]:
         edge, first = (begin, 0) if n == 0 else (end, n - 1)
         return edge(operands[first]), edge(operands[first + 1]), ""
 
+    def code(node, marked=False):
+        """The source of `node`, or with `marked` its whole lines with `node` in
+        brackets, its runs of whitespace made one space."""
+        span = source[begin(node):end(node)]
+        if marked:
+            span = b"%s[%s]%s" % (source[starts[node.lineno - 1]:begin(node)], span,
+                                  source[end(node):starts[node.end_lineno]])
+        return " ".join(span.decode().split())
+
     def mutant(function, operator, node, *edits):
-        text = bytearray(source)
-        for start, stop, new in sorted(edits, reverse=True):
-            text[start:stop] = new.encode()
-        code = " ".join(source[begin(node):end(node)].decode().split())
-        return Mutant(f"{Path(path).name}:{node.lineno}", f"{function}, {operator}: {code}",
-                      path, (path, function, operator, code), text.decode(),
-                      range(node.lineno, node.end_lineno + 1))
+        # built below, once the module's other mutants are known
+        return function, operator, node, edits
+
+    def tell_apart(found, codes, retell):
+        """`codes`, each that another mutant of its function and operator shares
+        replaced by retell(node, code, n), n counting those that share it."""
+        keys = [(function, operator, text) for (function, operator, *_), text in zip(found, codes)]
+        shared, seen, told = Counter(keys), Counter(), []
+        for (*_, node, _), key in zip(found, keys):
+            seen[key] += 1
+            told.append(retell(node, key[2], seen[key]) if shared[key] > 1 else key[2])
+        return told
 
     def walk(node, function):
         for child in ast.iter_child_nodes(node):
@@ -243,7 +263,21 @@ def generate(path: str) -> list[Mutant]:
                                  (begin(child), end(child), kept))
             yield from walk(child, function)
 
-    return list(walk(ast.parse(source), "<module>"))
+    found = list(walk(ast.parse(source), "<module>"))
+    # a key of its own for each mutant, as the module docstring says
+    codes = [code(node) for *_, node, _ in found]
+    codes = tell_apart(found, codes, lambda node, text, n: code(node, marked=True))
+    codes = tell_apart(found, codes, lambda node, text, n: f"{text} ({n})")
+    mutants = []
+    for (function, operator, node, edits), text in zip(found, codes):
+        module = bytearray(source)
+        for start, stop, new in sorted(edits, reverse=True):
+            module[start:stop] = new.encode()
+        mutants.append(Mutant(f"{Path(path).name}:{node.lineno}",
+                              f"{function}, {operator}: {text}", path,
+                              (path, function, operator, text), module.decode(),
+                              range(node.lineno, node.end_lineno + 1)))
+    return mutants
 
 
 RUNNING, LOCK = set(), threading.Lock()  # every pytest started; None once stopped

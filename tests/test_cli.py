@@ -1,6 +1,7 @@
 """Command-line behaviour: exit codes, output streams, refused inputs."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -12,8 +13,8 @@ import pytest
 
 from cardauthsim import adversary
 from cardauthsim.cli import main
-from cardauthsim.harness import (ReplayMismatch, ScenarioError, TranscriptParseError,
-                                 replay_transcript)
+from cardauthsim.harness import (SCENARIOS, WORDLIST_SCENARIOS, ReplayMismatch, ScenarioError,
+                                 TranscriptParseError, replay_transcript)
 
 from parties import DICT_PATH, GOLDEN
 
@@ -51,6 +52,21 @@ class TestDemo:
             f"error: [Errno 2] No such file or directory: '{tmp_path}/caf\\xe9'\n".encode())
         monkeypatch.setattr(sys, "stderr", None)
         assert main(["replay", path]) == 1
+
+    def test_human_bytes_pinned_across_scenarios_seeds_and_windows(self, capsys):
+        # Pins `--format human` byte for byte, its columns among them, as the
+        # event-bytes pin of test_harness.py pins the JSON lines. The human
+        # form holds no config line, so no dictionary path enters the digest.
+        pin = hashlib.sha256()
+        for scenario in sorted(SCENARIOS):
+            dictionary = ["--dictionary", DICT_PATH] if scenario in WORDLIST_SCENARIOS else []
+            for seed in range(4):
+                for window in (1, 2, 5):
+                    main(["demo", scenario, "--seed", str(seed), "--window", str(window),
+                          "--format", "human", *dictionary])
+                    pin.update(capsys.readouterr().out.encode())
+        assert pin.hexdigest() == (
+            "089e2534fbbc5c20346efb26a3f5ae8fe64abfa99a165b55ce108df233efdec3")
 
     def test_human_format_escapes_control_characters(self, tmp_path, capsys):
         # a wordlist entry reaches the transcript as the guessed password, and

@@ -20,6 +20,7 @@ from cardauthsim.harness import (
     ScenarioError,
     Transcript,
     TranscriptParseError,
+    message_to_wire,
     run_scenario,
 )
 from cardauthsim.scheme import (
@@ -31,7 +32,7 @@ from cardauthsim.scheme import (
     verify_mutual_auth,
 )
 
-from parties import DICT_PATH, GOLDEN
+from parties import DICT_PATH, GOLDEN, IDENT, PASSWORD, enrolled
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
@@ -68,6 +69,21 @@ SEED_0_SECRETS = ("cd072cd8be6f9f62ac4c09c28206e7e35594aa6b342f5d0a3a5e4842fab42
                   "62e6e282e5c1657c78c3a967b36711eb3906a7c8603d71d409e7a54d87bdc1f7")
 SEED_42_SECRETS = ("9d79b1a37f31801cd11a6706fb40d6bd57526846903bb13ede562439e9c1b823",
                    "a96089bca71f3d1a6d2d3cadb3669cbd50e165e434249d8b829f411669842a97")
+
+
+class TestWireFormat:
+    def test_login_request_wire_form(self):
+        _, card = enrolled()
+        request, _ = card.login(IDENT, PASSWORD, 10)
+        assert message_to_wire(request) == {"type": "login", "id": IDENT,
+                                            "c2": request.authenticator.hex(), "t": 10}
+
+    def test_response_wire_form(self):
+        server, card = enrolled()
+        request, _ = card.login(IDENT, PASSWORD, 10)
+        response = server.verify_login(request, 11)
+        assert message_to_wire(response) == {"type": "response",
+                                             "c3": response.authenticator.hex(), "t": 11}
 
 
 class TestDraws:

@@ -1,9 +1,9 @@
 """The one table of values that the library refuses: each row is one call of
-blocks, scheme, adversary or the scenario config, pinned by the exact class
-it raises and the whole text; beside it, the `reason` that each protocol
-rejection records. The command line's refusals are test_cli.py's
-two tables, test_replay_refusal for transcripts and test_path_refusal for
-paths."""
+blocks, scheme, adversary, the scenario config or the harness's wire form,
+pinned by the exact class it raises and the whole text; beside it, the
+`reason` that each protocol rejection records. The command line's refusals
+are test_cli.py's two tables, test_replay_refusal for transcripts and
+test_path_refusal for paths."""
 
 from collections import namedtuple
 
@@ -14,11 +14,11 @@ from cardauthsim.adversary import (CardSecrets, RegistrationRecord, Wordlist,
 from cardauthsim.blocks import (ZERO_BLOCK, Block, digest, encode_identity, encode_password,
                                 encode_registered_identity, encode_timestamp, validate_identity,
                                 validate_password, xor)
-from cardauthsim.harness import ScenarioConfig, ScenarioError
+from cardauthsim.harness import ScenarioConfig, ScenarioError, message_to_wire
 from cardauthsim.scheme import (BadAuthenticator, LoginRequest, PasswordChangeRejected,
                                 ProtocolRejection, ServerResponse, StaleTimestamp,
-                                UnknownIdentity, UserSession, enroll, message_to_wire,
-                                password_digest, verify_mutual_auth)
+                                UnknownIdentity, UserSession, enroll, password_digest,
+                                verify_mutual_auth)
 
 from parties import IDENT, PASSWORD, SALT, enrolled
 

@@ -1,10 +1,11 @@
 """Honest-party behaviour beside the reference model of test_model.py: the
-frozen known-answer chain, the wire forms and the first tick of the clock.
+frozen known-answer chain and the first tick of the clock. The wire form of a
+message is the harness's, pinned in test_harness.py.
 
 What the parties refuse is pinned by one of three refusal tables, each row
 by its exact class and whole text: test_refusals.py::test_library_refusal
-holds the values passed to the API (a login, a reply, a message to put on
-the wire), test_cli.py::test_replay_refusal the transcripts and
+holds the values passed to the API (a login, a reply),
+test_cli.py::test_replay_refusal the transcripts and
 test_cli.py::test_path_refusal the paths.
 
 The known-answer chain below was computed with hashlib and a local XOR
@@ -12,7 +13,7 @@ helper (never the package's own operations) before the implementation
 existed, then frozen.
 """
 
-from cardauthsim.scheme import message_to_wire, password_digest, proof
+from cardauthsim.scheme import password_digest, proof
 
 from parties import IDENT, PASSWORD, SALT, enrolled
 
@@ -43,21 +44,6 @@ class TestKnownAnswers:
         # the login proof and the reply are one rule over two clocks
         assert proof(card.verifier, 10) == request.authenticator
         assert proof(card.verifier, 11) == response.authenticator
-
-
-class TestWireFormat:
-    def test_login_request_wire_form(self):
-        _, card = enrolled()
-        request, _ = card.login(IDENT, PASSWORD, 10)
-        assert message_to_wire(request) == {"type": "login", "id": IDENT,
-                                            "c2": request.authenticator.hex(), "t": 10}
-
-    def test_response_wire_form(self):
-        server, card = enrolled()
-        request, _ = card.login(IDENT, PASSWORD, 10)
-        response = server.verify_login(request, 11)
-        assert message_to_wire(response) == {"type": "response",
-                                             "c3": response.authenticator.hex(), "t": 11}
 
 
 def test_tick_zero_is_a_valid_clock():
