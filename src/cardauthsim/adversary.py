@@ -25,11 +25,7 @@ from .scheme import (
 )
 
 INSIDER_SUPPLY_VERIFIER = "supply-verifier"
-# An alias of INSIDER_SUPPLY_VERIFIER kept for the transcripts: both labels
-# inject the recorded password digest, since keying in the verifier itself
-# does not unmask the verifier and the card rejects it.
-INSIDER_SUPPLY_DIGEST = "supply-password-digest"
-INSIDER_MODES = (INSIDER_SUPPLY_VERIFIER, INSIDER_SUPPLY_DIGEST)
+INSIDER_MODES = (INSIDER_SUPPLY_VERIFIER,)
 
 
 # Far above the shipped 9.7 kB wordlist, a 10 000-word list (about 130 kB) and
@@ -175,11 +171,11 @@ def insider_change_password(card: SmartCard, record: RegistrationRecord,
     """Hijack a card's password with registration-time knowledge only.
 
     The insider bypasses the reader's hash entry and injects the recorded
-    password digest in place of the keyed-password digest, in either mode:
-    keying in the verifier itself would not unmask the verifier, and the
-    card would reject it. The card's own change phase runs on the digest,
-    so the injection goes stale and is rejected once the user has changed
-    the password since registration.
+    password digest in place of the keyed-password digest: keying in the
+    verifier itself would not unmask the verifier, and the card would
+    reject it. The card's own change phase runs on the digest, so the
+    injection goes stale and is rejected once the user has changed the
+    password since registration.
     """
     if mode not in INSIDER_MODES:
         raise ValueError(f"unknown insider entry mode: {mode!r}")

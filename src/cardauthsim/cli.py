@@ -68,7 +68,7 @@ def _cmd_replay(args) -> tuple[int, str, str]:
     try:
         count = replay_transcript(args.transcript)
     except ReplayMismatch as exc:
-        return 1, f"mismatch at seq {exc.seq}\n", ""
+        return 1, f"{exc}\n", ""
     return 0, f"verified ({count} events)\n", ""
 
 

@@ -63,12 +63,16 @@ class ReplayMismatch(Exception):
     """Replay diverged from the recorded transcript at event `seq`."""
 
     def __init__(self, seq: int):
-        super().__init__(f"replay diverged at event seq {seq}")
+        super().__init__(f"mismatch at seq {seq}")
         self.seq = seq
 
 
 # exactly json.dumps(obj, sort_keys=True, separators=(",", ":")), built once
 _dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+# the keys of a transcript's config line: ScenarioConfig's fields, in order
+KEYS = ("scenario", "seed", "window", "dictionary")
 
 
 class _ConfigFields(NamedTuple):
@@ -110,15 +114,13 @@ class ScenarioConfig(_ConfigFields):
         return cls(*iterable)
 
     def to_obj(self) -> dict:
-        return {"scenario": self.scenario, "seed": self.seed,
-                "window": self.window, "dictionary": self.dictionary_path}
+        return dict(zip(KEYS, self))
 
     @classmethod
     def from_obj(cls, obj) -> "ScenarioConfig":
-        keys = ("scenario", "seed", "window", "dictionary")
-        if not isinstance(obj, dict) or set(obj) != set(keys):
-            raise TranscriptParseError(f"config line is not an object with keys {', '.join(keys)}")
-        return cls(*(obj[key] for key in keys))
+        if not isinstance(obj, dict) or set(obj) != set(KEYS):
+            raise TranscriptParseError(f"config line is not an object with keys {', '.join(KEYS)}")
+        return cls(*(obj[key] for key in KEYS))
 
 
 class Event(NamedTuple):

@@ -4,10 +4,8 @@ Each primitive is checked against an independent oracle: hashlib directly
 for the digests and encodings, a byte-by-byte XOR for `xor`. The golden
 digests are pinned against hashlib by criterion 7 of test_acceptance.py.
 
-What the primitives refuse is pinned by one of three refusal tables, each
-row by its exact class and whole text: test_refusals.py::test_library_refusal
-holds the values passed to the API, test_cli.py::test_replay_refusal the
-transcripts and test_cli.py::test_path_refusal the paths.
+What the primitives refuse is pinned by the refusal tables that README's
+Layout lists.
 """
 
 import hashlib

@@ -36,7 +36,8 @@ class TestDemo:
             assert err.strip().split("\n")[-1] == "attack-failed", argv
 
     def test_defaults_are_the_config_header(self, capsys):
-        # pins demo's defaults, seed 0 among them, which no operator edits
+        # pins demo's defaults: the one killer of `build_parser`'s `0 to 1` on
+        # `--seed`'s `default=0`
         assert main(["demo", "honest"]) == 0
         assert capsys.readouterr().out.startswith(_line(CONFIG).decode())
 
@@ -224,7 +225,7 @@ def test_replay_refusal(transcript, cls, stdout, stderr, tmp_path, capsys):
         replay_transcript(path)
     assert type(info.value) is cls
     if cls is ReplayMismatch:
-        assert stdout == f"mismatch at seq {info.value.seq}\n"
+        assert stdout == f"{info.value}\n"
 
 
 def _human_fields(line):
@@ -463,8 +464,8 @@ def test_fifo_swapped_in_after_the_stat_is_refused(tmp_path):
 
 
 class TestUsage:
-    # pins the subparsers' `required=True` and demo's `choices`: no operator edits
-    # a keyword argument
+    # pins the subparsers' `required=True` and demo's `choices`, keyword arguments
+    # that no operator edits
     def test_no_arguments_is_usage_error(self, capsys):
         # an unknown command, option, scenario or format, as `vectors`,
         # `demo --out` or `demo nonsense`, is argparse's usage error

@@ -15,7 +15,8 @@ def test_config_rejects_attribute_assignment():
 
 
 def test_config_defaults_and_keyword_construction():
-    # pins ScenarioConfig's documented defaults, which no operator edits
+    # pins ScenarioConfig's documented defaults: the one killer of
+    # `ScenarioConfig.__new__`'s `0 to 1` on `seed: int = 0`
     assert ScenarioConfig("honest") == ScenarioConfig("honest", 0, DEFAULT_WINDOW, None)
     config = ScenarioConfig(scenario="parallel-session", window=3, seed=9)
     assert (config.scenario, config.seed, config.window, config.dictionary_path) == (

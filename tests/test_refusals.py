@@ -1,9 +1,8 @@
 """The one table of values that the library refuses: each row is one call of
 blocks, scheme, adversary, the scenario config or the harness's wire form,
 pinned by the exact class it raises and the whole text; beside it, the
-`reason` that each protocol rejection records. The command line's refusals
-are test_cli.py's two tables, test_replay_refusal for transcripts and
-test_path_refusal for paths."""
+`reason` that each protocol rejection records. The command line's refusal
+tables are in test_cli.py; README's Layout lists them all."""
 
 from collections import namedtuple
 

@@ -2,11 +2,8 @@
 frozen known-answer chain and the first tick of the clock. The wire form of a
 message is the harness's, pinned in test_harness.py.
 
-What the parties refuse is pinned by one of three refusal tables, each row
-by its exact class and whole text: test_refusals.py::test_library_refusal
-holds the values passed to the API (a login, a reply),
-test_cli.py::test_replay_refusal the transcripts and
-test_cli.py::test_path_refusal the paths.
+What the parties refuse is pinned by the refusal tables that README's
+Layout lists.
 
 The known-answer chain below was computed with hashlib and a local XOR
 helper (never the package's own operations) before the implementation
@@ -47,8 +44,9 @@ class TestKnownAnswers:
 
 
 def test_tick_zero_is_a_valid_clock():
-    # a login stamped at tick 0 and received at server tick 0 is fresh: pins the
-    # lower clock edges of _fresh and verify_login, which no operator moves
+    # a login stamped at tick 0 and received at server tick 0 is fresh: the one
+    # killer of the `0 to 1` on the lower clock edge of `_fresh` and of
+    # `AuthServer.verify_login`
     server, card = enrolled()
     response = server.verify_login(card.login(IDENT, PASSWORD, 0)[0], 0)
     assert response.timestamp == 0
