@@ -17,6 +17,7 @@ import io
 import sys
 
 from .harness import (
+    DEFAULT_SEED,
     SCENARIOS,
     ReplayMismatch,
     ScenarioConfig,
@@ -38,14 +39,14 @@ def build_parser() -> argparse.ArgumentParser:
     demo.set_defaults(run=_cmd_demo)
     demo.add_argument("scenario", choices=sorted(SCENARIOS),
                       help="which scenario to run")
-    demo.add_argument("--seed", type=int, default=0,
-                      help="seed for all scenario randomness (default 0)")
+    demo.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                      help="seed for all scenario randomness (default %(default)s)")
     demo.add_argument("--window", type=int, default=DEFAULT_WINDOW,
-                      help=f"freshness window in ticks (default {DEFAULT_WINDOW})")
+                      help="freshness window in ticks (default %(default)s)")
     demo.add_argument("--dictionary", metavar="PATH",
                       help="password wordlist, required by the guessing scenarios")
     demo.add_argument("--format", choices=("human", "json"), default="json",
-                      help="transcript rendering (default json, replayable)")
+                      help="transcript rendering (default %(default)s, replayable)")
 
     replay = sub.add_parser("replay", help="re-run a transcript and verify it matches")
     replay.add_argument("transcript", metavar="FILE")

@@ -73,6 +73,7 @@ _dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 # the keys of a transcript's config line: ScenarioConfig's fields, in order
 KEYS = ("scenario", "seed", "window", "dictionary")
+DEFAULT_SEED = 0
 
 
 class _ConfigFields(NamedTuple):
@@ -89,7 +90,7 @@ class ScenarioConfig(_ConfigFields):
 
     __slots__ = ()
 
-    def __new__(cls, scenario: str, seed: int = 0, window: int = DEFAULT_WINDOW,
+    def __new__(cls, scenario: str, seed: int = DEFAULT_SEED, window: int = DEFAULT_WINDOW,
                 dictionary_path: Optional[str] = None) -> "ScenarioConfig":
         if not isinstance(scenario, str) or scenario not in SCENARIOS:
             raise ScenarioError(f"unknown scenario {scenario!r}, "

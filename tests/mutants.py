@@ -22,8 +22,8 @@ hypothesis draws from the literals of every module it sees, so a mutant can move
 the draws of a test that never reaches it, and a mutant is a survivor only when
 the whole of JUDGE passes too. No run stops at a failure, so each mutant is
 printed with every killer; a collection error or a timeout kills too. Mutants
-are judged in os.cpu_count() threads, each in a copy of its own: 333, 10 of
-them equivalent, took 7 min 11 s on a shared 2-vCPU VM with Python 3.11.7.
+are judged in os.cpu_count() threads, each in a copy of its own: 332, 10 of
+them equivalent, took 8 min 1 s on a shared 2-vCPU VM with Python 3.11.7.
 
 Exit status 1, before any run, when a hand row's old text is not found exactly
 once, a hand row gives the module of a generated mutant (the operator makes it,

@@ -1,7 +1,9 @@
 """The parties and files that several test modules share: one server secret,
-one card salt, one user and password, and the checked-in wordlist and golden
-transcript. test_acceptance.py and test_model.py keep their own."""
+one card salt, one user and password, the checked-in wordlist and golden
+transcript, and the canonical JSON of a transcript line. test_acceptance.py
+and test_model.py keep their own."""
 
+import json
 from pathlib import Path
 
 from cardauthsim.blocks import Block
@@ -19,3 +21,8 @@ def enrolled(password=PASSWORD):
     """A server, and the card it issues to IDENT for `password`."""
     server = AuthServer(MASTER)
     return server, enroll(server, IDENT, password, SALT)
+
+
+def canonical(obj):
+    """`obj` as a transcript line holds it: sorted keys, no spaces, no newline."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))

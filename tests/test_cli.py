@@ -16,7 +16,7 @@ from cardauthsim.cli import main
 from cardauthsim.harness import (SCENARIOS, WORDLIST_SCENARIOS, ReplayMismatch, ScenarioError,
                                  TranscriptParseError, replay_transcript)
 
-from parties import DICT_PATH, GOLDEN
+from parties import DICT_PATH, GOLDEN, canonical
 
 SRC = str(Path(__file__).parent.parent / "src")
 CONFIG = {"dictionary": None, "scenario": "honest", "seed": 0, "window": 5}  # `demo honest`
@@ -36,10 +36,10 @@ class TestDemo:
             assert err.strip().split("\n")[-1] == "attack-failed", argv
 
     def test_defaults_are_the_config_header(self, capsys):
-        # pins demo's defaults: the one killer of `build_parser`'s `0 to 1` on
-        # `--seed`'s `default=0`
+        # pins demo's defaults: with the help pin and ScenarioConfig's defaults,
+        # one of the three killers of `harness`'s `0 to 1` on `DEFAULT_SEED = 0`
         assert main(["demo", "honest"]) == 0
-        assert capsys.readouterr().out.startswith(_line(CONFIG).decode())
+        assert capsys.readouterr().out.startswith(canonical(CONFIG) + "\n")
 
     def test_error_line_survives_a_strict_stderr(self, tmp_path, monkeypatch):
         # a stderr that encodes strictly cannot take the quoted path's "é", so
@@ -115,15 +115,10 @@ def test_config_refused_alike_by_demo_and_replay(argv, header, error, tmp_path, 
     assert capsys.readouterr() == ("", f"error: {error}\n")
 
 
-def _line(obj):
-    """`obj` as demo writes a transcript line: sorted keys, no spaces, a newline."""
-    return (json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n").encode()
-
-
 def _transcript(tmp_path, header):
     """tmp_path/t.jsonl: `header` as the config line demo writes, or as is if bytes."""
     path = tmp_path / "t.jsonl"
-    path.write_bytes(header if isinstance(header, bytes) else _line(header))
+    path.write_bytes(header if isinstance(header, bytes) else f"{canonical(header)}\n".encode())
     return path
 
 
@@ -146,7 +141,7 @@ ERRORS = {
         "keys-missing": {"scenario": "honest"}},
     # with bare CRs the file is one line of several JSON values
     (TranscriptParseError, "line 1 does not end in a newline"): {
-        "empty": b"", "header-without-newline": _line(CONFIG)[:-1],
+        "empty": b"", "header-without-newline": canonical(CONFIG).encode(),
         "cr": GOLDEN_BYTES.replace(b"\n", b"\r")},
     (TranscriptParseError, "line 17 does not end in a newline"): {
         "no-final-newline": GOLDEN_BYTES[:-1]},
@@ -191,7 +186,8 @@ MISMATCHES = {
     0: {"event0-number": HEADER + b"7\n",
         "event0-cr": b"".join([HEADER, GOLDEN_LINES[1][:-1], b"\r\n", *GOLDEN_LINES[2:]])},
     # event 1 as an object that is not an event, or with one bad field
-    1: {f"event1-{name}": b"".join([*GOLDEN_LINES[:2], _line(obj), *GOLDEN_LINES[3:]])
+    1: {f"event1-{name}": b"".join([*GOLDEN_LINES[:2], f"{canonical(obj)}\n".encode(),
+                                    *GOLDEN_LINES[3:]])
         for name, obj in [
             ("list", []), ("number", 3), ("string", "seq"),
             ("missing-key", {k: v for k, v in EVENT1.items() if k != "time"}),
@@ -438,8 +434,8 @@ def _child(argv, stdout, stderr):
 ])
 def test_child_process(argv, stdout, stderr, expected, tmp_path):
     os.mkfifo(tmp_path / "t.fifo")  # for the three fifo rows
-    (tmp_path / "fifo.jsonl").write_bytes(_line({**CONFIG, "scenario": "offline-guess",
-                                                 "dictionary": str(tmp_path / "t.fifo")}))
+    fifo_header = {**CONFIG, "scenario": "offline-guess", "dictionary": str(tmp_path / "t.fifo")}
+    (tmp_path / "fifo.jsonl").write_bytes(f"{canonical(fifo_header)}\n".encode())
     (tmp_path / "extra.jsonl").write_bytes(GOLDEN.read_bytes() + b"\n")
     status, out, err = expected
     err = err and err.replace(b"{tmp}", bytes(tmp_path))
@@ -464,8 +460,8 @@ def test_fifo_swapped_in_after_the_stat_is_refused(tmp_path):
 
 
 class TestUsage:
-    # pins the subparsers' `required=True` and demo's `choices`, keyword arguments
-    # that no operator edits
+    # pins the subparsers' `required=True`, demo's `choices` and every help, metavar
+    # and description keyword, keyword arguments that no operator edits
     def test_no_arguments_is_usage_error(self, capsys):
         # an unknown command, option, scenario or format, as `vectors`,
         # `demo --out` or `demo nonsense`, is argparse's usage error
@@ -482,9 +478,17 @@ class TestUsage:
             assert (out, err.split("\n")[0]) == ("", first), argv
             assert error in err, argv
 
-    def test_help_exits_zero(self, capsys):
-        assert main(["--help"]) == 0
-        assert capsys.readouterr().out.startswith("usage: cardauthsim")
+    def test_help_exits_zero(self, monkeypatch, capsys):
+        # each parser's whole help at 80 columns, every `%(default)s` rendered
+        monkeypatch.setenv("COLUMNS", "80")
+        for argv, pin in (
+                (["--help"], "63c654eadeb387adf485c303d428abf3b7c0734307bafce8895e94ed25d92374"),
+                (["demo", "--help"],
+                 "60e6c7f86d50bc05e568aa05c4e372d265164110747a0deec59b7d5a5efd31e2"),
+                (["replay", "--help"],
+                 "c0af6f617ac2fbc4d215de35999727775298d79e1b9954466a362c726bc4e426")):
+            assert main(argv) == 0, argv
+            assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == pin, argv
 
     def test_argparse_output_goes_through_main(self, monkeypatch, capsys):
         # help that stdout cannot take is an error, not a silent exit 0
